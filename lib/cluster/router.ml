@@ -7,7 +7,12 @@
    pipelined connections per shard; requests are restamped with a
    router-unique integer id, the original id parked in the pool
    connection's pending table, and a per-connection reader thread
-   matches replies back and restamps them on the way out.  [analyze]
+   matches replies back and restamps them on the way out.  Binary
+   analyze traffic is never re-encoded: a client's ['A'] frame goes
+   upstream as it arrived with the router id patched in, and the
+   shard's ['V'] reply comes back the same way with the client's id —
+   the reply follows the request's dialect, the daemon's own rule;
+   everything else travels as JSON documents.  [analyze]
    routes by the matrix-only family hash through the consistent-hash
    {!Ring} (so the content key and its mu-parametric family stay on
    one shard); the stateless ops round-robin over live shards;
@@ -103,8 +108,10 @@ type reqstate = {
   r_client : client;
   r_id : Json.t;
   r_req : Server.Protocol.request;
-  r_deadline : float;  (* absolute seconds; nan = no deadline *)
-  r_sent_at : float;
+  r_raw : Server.Wire.raw option;
+      (* the client's own ['A'] frame, forwarded with ids patched in *)
+  r_deadline : float;  (* absolute, {!Obs.Clock} seconds; nan = no deadline *)
+  r_sent_at : float;   (* {!Obs.Clock} seconds *)
   r_done : bool Atomic.t;
   r_hedged : bool Atomic.t;
   r_outstanding : int Atomic.t;
@@ -129,14 +136,14 @@ and shard = {
   mutable target : Server.Client.addr;
   mutable alive : bool;
   mutable promoted : bool;
-  mutable pool : uconn list;
-  mutable f_pool : uconn list;  (* follower pool: hedges + breaker diverts *)
+  mutable pool : uconn array;    (* live connections only; replaced, never mutated *)
+  mutable f_pool : uconn array;  (* follower pool: hedges + breaker diverts *)
   mutable next_conn : int;
   mutable f_next : int;
-  mutable forwarded : int;
-  mutable shed : int;
-  mutable hedges : int;
-  mutable hedge_wins : int;
+  forwarded : int Atomic.t;
+  shed : int Atomic.t;
+  hedges : int Atomic.t;
+  hedge_wins : int Atomic.t;
   lat : float array;  (* ring of recent first-reply latencies, ms *)
   mutable lat_n : int;
   health : Health.t;
@@ -232,14 +239,14 @@ let create (cfg : config) =
              target = spec.primary;
              alive = true;
              promoted = false;
-             pool = [];
-             f_pool = [];
+             pool = [||];
+             f_pool = [||];
              next_conn = 0;
              f_next = 0;
-             forwarded = 0;
-             shed = 0;
-             hedges = 0;
-             hedge_wins = 0;
+             forwarded = Atomic.make 0;
+             shed = Atomic.make 0;
+             hedges = Atomic.make 0;
+             hedge_wins = Atomic.make 0;
              lat = Array.make 64 0.;
              lat_n = 0;
              health =
@@ -272,7 +279,7 @@ let create (cfg : config) =
     i_lock = Mutex.create ();
     h_lock = Mutex.create ();
     h_tokens = float_of_int (max 0 cfg.hedge_budget);
-    h_refill_at = Unix.gettimeofday ();
+    h_refill_at = Obs.Clock.now_s ();
   }
 
 let ring t = t.ring
@@ -284,19 +291,23 @@ let port t =
 
 (* --------------------------- client output ------------------------- *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
+let write_bytes fd b =
   let n = Bytes.length b in
   let written = ref 0 in
   while !written < n do
     written := !written + Unix.write fd b !written (n - !written)
   done
 
+(* Caller holds [c_olock]. *)
+let write_doc c doc =
+  write_bytes c.c_fd
+    (Bytes.unsafe_of_string
+       (Server.Wire.encode c.c_version (Server.Wire.Text (Json.to_string doc))))
+
 let send_client c reply =
   locked c.c_olock (fun () ->
       if not c.c_closed then
-        try write_all c.c_fd (Server.Wire.encode c.c_version (Server.Wire.Text (Json.to_string reply)))
-        with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true)
+        try write_doc c reply with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true)
 
 let close_client t c =
   let was_open =
@@ -362,8 +373,9 @@ let fail_uconn shard uc =
         let first = not uc.u_dead in
         uc.u_dead <- true;
         if first then begin
-          shard.pool <- List.filter (fun x -> x != uc) shard.pool;
-          shard.f_pool <- List.filter (fun x -> x != uc) shard.f_pool
+          let without a = Array.of_list (List.filter (fun x -> x != uc) (Array.to_list a)) in
+          shard.pool <- without shard.pool;
+          shard.f_pool <- without shard.f_pool
         end;
         first)
   in
@@ -384,22 +396,47 @@ let restamp id = function
     Json.Obj (List.map (fun (k, v) -> if k = "id" then (k, id) else (k, v)) fields)
   | j -> j
 
-let upstream_reader shard uc =
+(* The reply follows the request's dialect, as in the daemon: a ['V']
+   verdict to a request that arrived as an ['A'] frame goes back as the
+   shard sent it, with the client's id patched in; every other reply
+   is the JSON document, restamped.  A client that switched back to
+   JSON while the request was in flight gets the document too. *)
+let reply_client r raw frame doc =
+  let c = r.r_client in
+  locked c.c_olock (fun () ->
+      if not c.c_closed then
+        try
+          match (frame, r.r_raw, r.r_id, c.c_version) with
+          | Server.Wire.Bin_verdict _, Some _, Json.Int id, Server.Wire.V2 ->
+            Server.Wire.set_id raw id;
+            write_bytes c.c_fd (Server.Wire.raw_bytes raw)
+          | _ -> write_doc c (restamp r.r_id (Lazy.force doc))
+        with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true)
+
+let upstream_reader t shard uc =
   let rec loop () =
-    let reply = Server.Client.recv uc.u in
-    (match Server.Protocol.reply_id reply with
+    let raw, frame = Server.Client.recv_raw uc.u in
+    let doc = lazy (Server.Client.reply_of_frame frame) in
+    let rid =
+      match frame with
+      | Server.Wire.Bin_verdict { id; _ } -> Json.Int id
+      | _ -> Server.Protocol.reply_id (Lazy.force doc)
+    in
+    (match rid with
     | Json.Int rid -> (
       match take_pending uc rid with
       | Some p ->
-        ignore (Atomic.fetch_and_add p.p_state.r_outstanding (-1));
+        let r = p.p_state in
+        ignore (Atomic.fetch_and_add r.r_outstanding (-1));
         (* First reply wins; the loser (if any) is dropped when its
            copy surfaces here or its connection dies. *)
-        if not (Atomic.exchange p.p_state.r_done true) then begin
-          send_client p.p_state.r_client (restamp p.p_state.r_id reply);
-          record_latency shard
-            ((Unix.gettimeofday () -. p.p_state.r_sent_at) *. 1000.);
+        if not (Atomic.exchange r.r_done true) then begin
+          reply_client r raw frame doc;
+          (* Only the adaptive hedge delay reads the latency ring. *)
+          if t.cfg.hedge = Adaptive then
+            record_latency shard ((Obs.Clock.now_s () -. r.r_sent_at) *. 1000.);
           if p.p_hedge then begin
-            locked shard.s_lock (fun () -> shard.hedge_wins <- shard.hedge_wins + 1);
+            Atomic.incr shard.hedge_wins;
             Obs.Metrics.incr m_hedge_wins
           end
         end
@@ -423,16 +460,17 @@ let get_conn t shard ~follower =
       match addr with
       | None -> None
       | Some addr ->
+        (* [fail_uconn] drops a dead connection from its pool under
+           this lock, so every pooled connection is live. *)
         let pool = if follower then shard.f_pool else shard.pool in
-        let live = List.filter (fun uc -> not uc.u_dead) pool in
-        let n = List.length live in
+        let n = Array.length pool in
         let cursor = if follower then shard.f_next else shard.next_conn in
         let bump () =
           if follower then shard.f_next <- shard.f_next + 1
           else shard.next_conn <- shard.next_conn + 1
         in
         if n >= t.cfg.pool_size then begin
-          let uc = List.nth live (cursor mod n) in
+          let uc = pool.(cursor mod n) in
           bump ();
           Some uc
         end
@@ -449,9 +487,9 @@ let get_conn t shard ~follower =
                 u_reader = None;
               }
             in
-            uc.u_reader <- Some (Thread.create (fun () -> upstream_reader shard uc) ());
-            if follower then shard.f_pool <- uc :: shard.f_pool
-            else shard.pool <- uc :: shard.pool;
+            uc.u_reader <- Some (Thread.create (fun () -> upstream_reader t shard uc) ());
+            if follower then shard.f_pool <- Array.append [| uc |] shard.f_pool
+            else shard.pool <- Array.append [| uc |] shard.pool;
             bump ();
             Some uc
           | exception (Unix.Unix_error _ | Failure _ | Sys_error _) -> None)
@@ -463,28 +501,35 @@ let get_uconn t shard = get_conn t shard ~follower:false
 (* [deadline_override], when given, replaces the request's stamped
    deadline with the *remaining* budget — the hedge path computes it
    from the absolute deadline so a re-issued request never tells the
-   follower it has the full original allowance. *)
-let send_upstream ?deadline_override uc ~rid (req : Server.Protocol.request) =
+   follower it has the full original allowance.  A request kept as
+   the client's raw frame is sent as those bytes, with the rid (and
+   any override) written into them. *)
+let send_upstream ?deadline_override uc ~rid r =
   let dl orig = match deadline_override with Some _ -> deadline_override | None -> orig in
   locked uc.u_send (fun () ->
-      match req with
-      | Server.Protocol.Analyze { mu; tmat; deadline_ms } ->
+      match (r.r_raw, r.r_req) with
+      | Some raw, _ ->
+        Server.Wire.set_id raw rid;
+        Option.iter (fun ms -> Server.Wire.set_deadline_ms raw (Some ms)) deadline_override;
+        Server.Client.send_raw uc.u raw
+      | None, Server.Protocol.Analyze { mu; tmat; deadline_ms } ->
         Server.Client.send_analyze uc.u ~id:rid ?deadline_ms:(dl deadline_ms) ~mu tmat
-      | Server.Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
+      | None, Server.Protocol.Search { algorithm; mu; s; pareto; array_dim; deadline_ms } ->
         Server.Client.send uc.u
           (Server.Protocol.search ~id:(Json.Int rid) ?deadline_ms:(dl deadline_ms) ?s
              ~pareto ~array_dim ~algorithm ~mu ())
-      | Server.Protocol.Simulate { algorithm; mu; s; pi } ->
+      | None, Server.Protocol.Simulate { algorithm; mu; s; pi } ->
         Server.Client.send uc.u
           (Server.Protocol.simulate ~id:(Json.Int rid) ?s ~algorithm ~mu ~pi ())
-      | Server.Protocol.Replay { instance } ->
+      | None, Server.Protocol.Replay { instance } ->
         Server.Client.send uc.u (Server.Protocol.replay ~id:(Json.Int rid) instance)
-      | Server.Protocol.Ship _ | Server.Protocol.Ping | Server.Protocol.Stats
-      | Server.Protocol.Drain | Server.Protocol.Hello _ ->
+      | ( None,
+          ( Server.Protocol.Ship _ | Server.Protocol.Ping | Server.Protocol.Stats
+          | Server.Protocol.Drain | Server.Protocol.Hello _ ) ) ->
         invalid_arg "Router.send_upstream: inline op")
 
 let shed shard c ~id detail =
-  locked shard.s_lock (fun () -> shard.shed <- shard.shed + 1);
+  Atomic.incr shard.shed;
   Obs.Metrics.incr m_shed;
   send_client c (Server.Protocol.error_reply ~id ~code:"overloaded" ~detail)
 
@@ -493,13 +538,16 @@ let request_deadline_ms : Server.Protocol.request -> int option = function
   | Server.Protocol.Search { deadline_ms; _ } -> deadline_ms
   | _ -> None
 
-let forward t c ~id shard req =
+(* [raw] is the client's own ['A'] frame for [req]; it is forwarded as
+   is whenever the shards speak the binary transport. *)
+let forward t c ~id ?raw shard req =
   if Fault.should_fail "route.forward" then
     shed shard c ~id "fault injected: route.forward"
   else begin
     let is_analyze = match req with Server.Protocol.Analyze _ -> true | _ -> false in
-    let promoted = locked shard.s_lock (fun () -> shard.promoted) in
-    let has_follower = shard.spec.follower <> None && not promoted in
+    let has_follower =
+      shard.spec.follower <> None && not (locked shard.s_lock (fun () -> shard.promoted))
+    in
     (* Breaker open: the shard is up but slow — divert its analyze
        traffic to the follower (same bytes, deterministic verdicts)
        while the monitor probes it back in. *)
@@ -515,12 +563,13 @@ let forward t c ~id shard req =
     | None -> shed shard c ~id (Printf.sprintf "shard %d unavailable" shard.idx)
     | Some uc -> (
       let rid = Atomic.fetch_and_add t.next_rid 1 in
-      let now = Unix.gettimeofday () in
+      let now = Obs.Clock.now_s () in
       let r =
         {
           r_client = c;
           r_id = id;
           r_req = req;
+          r_raw = (if t.cfg.shard_transport = Server.Wire.V2 then raw else None);
           r_deadline =
             (match request_deadline_ms req with
             | Some d -> now +. (float_of_int d /. 1000.)
@@ -535,12 +584,13 @@ let forward t c ~id shard req =
       let hedgeable = is_analyze && has_follower && (not divert) && hedging_active t in
       locked uc.u_plock (fun () ->
           Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = false });
-      if hedgeable then
-        locked t.i_lock (fun () -> Hashtbl.replace t.inflight rid r);
-      match send_upstream uc ~rid req with
+      match send_upstream uc ~rid r with
       | () ->
-        locked shard.s_lock (fun () -> shard.forwarded <- shard.forwarded + 1);
-        Obs.Metrics.incr m_forwarded
+        Atomic.incr shard.forwarded;
+        Obs.Metrics.incr m_forwarded;
+        (* Registered only once the primary copy is written: a hedge
+           patches the same raw bytes. *)
+        if hedgeable then locked t.i_lock (fun () -> Hashtbl.replace t.inflight rid r)
       | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
         let mine = take_pending uc rid <> None in
         fail_uconn shard uc;
@@ -577,7 +627,7 @@ let pick_rr t =
 let take_hedge_token t =
   let cap = float_of_int t.cfg.hedge_budget in
   locked t.h_lock (fun () ->
-      let now = Unix.gettimeofday () in
+      let now = Obs.Clock.now_s () in
       let dt = Float.max 0. (now -. t.h_refill_at) in
       t.h_refill_at <- now;
       t.h_tokens <- Float.min cap (t.h_tokens +. (dt *. cap));
@@ -588,7 +638,7 @@ let take_hedge_token t =
       else false)
 
 let hedge_tick t =
-  let now = Unix.gettimeofday () in
+  let now = Obs.Clock.now_s () in
   let entries =
     locked t.i_lock (fun () ->
         Hashtbl.fold (fun k r acc -> (k, r) :: acc) t.inflight [])
@@ -621,9 +671,9 @@ let hedge_tick t =
               Atomic.incr r.r_outstanding;
               locked uc.u_plock (fun () ->
                   Hashtbl.replace uc.u_pending rid { p_state = r; p_hedge = true });
-              match send_upstream ?deadline_override:remaining uc ~rid r.r_req with
+              match send_upstream ?deadline_override:remaining uc ~rid r with
               | () ->
-                locked shard.s_lock (fun () -> shard.hedges <- shard.hedges + 1);
+                Atomic.incr shard.hedges;
                 Obs.Metrics.incr m_hedges
               | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
                 let mine = take_pending uc rid <> None in
@@ -657,8 +707,8 @@ let promote_shard t idx =
   in
   if already then shard.alive
   else begin
-    let pools = locked shard.s_lock (fun () -> shard.pool @ shard.f_pool) in
-    List.iter (fun uc -> fail_uconn shard uc) pools;
+    let pools = locked shard.s_lock (fun () -> Array.append shard.pool shard.f_pool) in
+    Array.iter (fun uc -> fail_uconn shard uc) pools;
     match shard.spec.follower with
     | None -> false (* no replica: the shard stays down *)
     | Some follower ->
@@ -710,9 +760,9 @@ let monitor t =
           | Some sh when not shard.promoted -> ignore (Shipper.pump sh)
           | _ -> ());
           if shard.alive && not shard.promoted then begin
-            let t0 = Unix.gettimeofday () in
+            let t0 = Obs.Clock.now_s () in
             let ok = probe shard.target in
-            let latency_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+            let latency_ms = (Obs.Clock.now_s () -. t0) *. 1000. in
             match Health.note shard.health ~latency_ms ~ok () with
             | `Failed -> ignore (promote_shard t shard.idx)
             | `Opened ->
@@ -752,12 +802,12 @@ let stats_fields t =
                    ("target", Json.Str (addr_string s.target));
                    ("alive", Json.Bool s.alive);
                    ("promoted", Json.Bool s.promoted);
-                   ("pool", Json.Int (List.length s.pool));
-                   ("follower_pool", Json.Int (List.length s.f_pool));
-                   ("forwarded", Json.Int s.forwarded);
-                   ("shed", Json.Int s.shed);
-                   ("hedges", Json.Int s.hedges);
-                   ("hedge_wins", Json.Int s.hedge_wins);
+                   ("pool", Json.Int (Array.length s.pool));
+                   ("follower_pool", Json.Int (Array.length s.f_pool));
+                   ("forwarded", Json.Int (Atomic.get s.forwarded));
+                   ("shed", Json.Int (Atomic.get s.shed));
+                   ("hedges", Json.Int (Atomic.get s.hedges));
+                   ("hedge_wins", Json.Int (Atomic.get s.hedge_wins));
                    ("breaker", Json.Str (Health.state_name s.health));
                    ("ewma_ms", Json.Float (Health.ewma_ms s.health));
                    ("health_failures", Json.Int (Health.failures s.health));
@@ -771,7 +821,7 @@ let stats_fields t =
   let accepted, promotions = locked t.lock (fun () -> (t.accepted, t.promotions)) in
   let hedges, hedge_wins =
     Array.fold_left
-      (fun (h, w) s -> locked s.s_lock (fun () -> (h + s.hedges, w + s.hedge_wins)))
+      (fun (h, w) s -> (h + Atomic.get s.hedges, w + Atomic.get s.hedge_wins))
       (0, 0) t.shards
   in
   [
@@ -790,7 +840,7 @@ let stats_fields t =
 
 let version_rank = function Server.Wire.V1 -> 1 | Server.Wire.V2 -> 2
 
-let handle_request t c ~id (req : Server.Protocol.request) =
+let handle_request t c ~id ?raw (req : Server.Protocol.request) =
   match req with
   | Server.Protocol.Ping -> send_client c (Server.Protocol.ok_reply ~id ~op:"ping" [])
   | Server.Protocol.Stats ->
@@ -807,12 +857,9 @@ let handle_request t c ~id (req : Server.Protocol.request) =
       locked c.c_olock (fun () ->
           if not c.c_closed then begin
             (try
-               write_all c.c_fd
-                 (Server.Wire.encode c.c_version
-                    (Server.Wire.Text
-                       (Json.to_string
-                          (Server.Protocol.ok_reply ~id ~op:"hello"
-                             [ ("transport", Json.Str (Server.Wire.version_name v)) ]))))
+               write_doc c
+                 (Server.Protocol.ok_reply ~id ~op:"hello"
+                    [ ("transport", Json.Str (Server.Wire.version_name v)) ])
              with Unix.Unix_error _ | Sys_error _ -> c.c_closed <- true);
             c.c_version <- v
           end);
@@ -827,7 +874,7 @@ let handle_request t c ~id (req : Server.Protocol.request) =
          ~detail:"ship is shard-direct; the router does not replicate")
   | Server.Protocol.Analyze { tmat; _ } ->
     let shard = t.shards.(Ring.shard_of t.ring (Server.Store.family_hash tmat)) in
-    forward t c ~id shard req
+    forward t c ~id ?raw shard req
   | Server.Protocol.Search _ | Server.Protocol.Simulate _ | Server.Protocol.Replay _
     -> (
     match pick_rr t with
@@ -838,14 +885,15 @@ let handle_request t c ~id (req : Server.Protocol.request) =
 
 (* --------------------------- client serving ------------------------ *)
 
-let handle_frame t c = function
+let handle_frame t c raw = function
   | Server.Wire.Text line -> (
     match Server.Protocol.request_of_line line with
     | Ok env -> handle_request t c ~id:env.Server.Protocol.id env.Server.Protocol.req
     | Error msg ->
       send_client c (Server.Protocol.error_reply ~id:Json.Null ~code:"bad_request" ~detail:msg))
   | Server.Wire.Bin_analyze { id; deadline_ms; mu; tmat } ->
-    handle_request t c ~id:(Json.Int id)
+    (* Decoded once, for the ring hash; the bytes go upstream as is. *)
+    handle_request t c ~id:(Json.Int id) ~raw
       (Server.Protocol.Analyze { mu; tmat; deadline_ms })
   | Server.Wire.Bin_verdict _ ->
     send_client c
@@ -853,13 +901,13 @@ let handle_frame t c = function
          ~detail:"unexpected verdict frame from a client")
 
 let rec pull_frames t c =
-  match Server.Wire.next c.c_dec with
+  match Server.Wire.next_raw c.c_dec with
   | Server.Wire.Need_more -> true
   | Server.Wire.Corrupt msg ->
     send_client c (Server.Protocol.error_reply ~id:Json.Null ~code:"parse_error" ~detail:msg);
     false
-  | Server.Wire.Frame f ->
-    handle_frame t c f;
+  | Server.Wire.Frame (raw, f) ->
+    handle_frame t c raw f;
     pull_frames t c
 
 let serve_client t c =
@@ -930,9 +978,9 @@ let run t =
   Option.iter Thread.join hed;
   Array.iter
     (fun shard ->
-      let pools = locked shard.s_lock (fun () -> shard.pool @ shard.f_pool) in
-      List.iter (fun uc -> fail_uconn shard uc) pools;
-      List.iter
+      let pools = locked shard.s_lock (fun () -> Array.append shard.pool shard.f_pool) in
+      Array.iter (fun uc -> fail_uconn shard uc) pools;
+      Array.iter
         (fun uc -> match uc.u_reader with Some th -> Thread.join th | None -> ())
         pools;
       match shard.shipper with

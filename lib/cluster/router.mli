@@ -7,7 +7,11 @@
     keeps a pool of pipelined connections per shard: each forwarded
     request is restamped with a router-unique integer id, matched back
     by a per-connection reader thread, and restamped with the client's
-    original id on the way out.
+    original id on the way out.  Over a binary shard transport a
+    client's ['A'] frame and the shard's ['V'] reply are passed on as
+    they came, ids rewritten in place ({!Server.Wire.set_id}); every
+    other reply is the JSON document — the reply follows the request's
+    dialect, as in the daemon.
 
     Placement: [analyze] routes by the {e matrix-only}
     {!Server.Store.family_hash} through the consistent-hash {!Ring},

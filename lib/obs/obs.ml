@@ -1,3 +1,7 @@
+module Clock = struct
+  let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+end
+
 module Trace = struct
   type span = {
     id : int;

@@ -21,6 +21,15 @@
       and as the [spans]/[metrics] fields of the schema-v2 CLI
       documents (see [docs/SCHEMA.md]). *)
 
+(** A monotonic clock, for durations that must not jump when the wall
+    clock is stepped (hedge delays, token-bucket refills, probe
+    timings). *)
+module Clock : sig
+  val now_s : unit -> float
+  (** Seconds since an arbitrary fixed origin ([CLOCK_MONOTONIC]).
+      Only differences of two readings mean anything. *)
+end
+
 (** Hierarchical wall-clock spans.
 
     Tracing is globally off until {!Trace.enable}; while off,

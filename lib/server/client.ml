@@ -15,16 +15,18 @@ let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
    thread, then [close]s. *)
 let shutdown c = try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-let send_string c s =
-  let bytes = Bytes.of_string s in
+let send_bytes c bytes =
   let n = Bytes.length bytes in
   let written = ref 0 in
   while !written < n do
     written := !written + Unix.write c.fd bytes !written (n - !written)
   done
 
-let rec read_frame c =
-  match Wire.next c.dec with
+(* [Unix.write] only reads the buffer, so the string is not copied. *)
+let send_string c s = send_bytes c (Bytes.unsafe_of_string s)
+
+let rec pull next c =
+  match next c.dec with
   | Wire.Frame f -> f
   | Wire.Corrupt msg -> failwith ("Client.request: corrupt reply stream: " ^ msg)
   | Wire.Need_more -> (
@@ -32,14 +34,13 @@ let rec read_frame c =
     | 0 -> failwith "Client.request: connection closed by server"
     | n ->
       Wire.feed c.dec c.chunk 0 n;
-      read_frame c)
+      pull next c)
 
 (* Every reply surfaces as the JSON document it is equivalent to: a
    binary ['V'] frame reconstructs the exact [ok] analyze reply —
    {!Protocol.json_of_wire} renders deterministically, so the verify
    path compares byte-identically regardless of transport. *)
-let read_reply c =
-  match read_frame c with
+let reply_of_frame = function
   | Wire.Text line -> (
     match Json.parse line with
     | Ok reply -> reply
@@ -49,6 +50,8 @@ let read_reply c =
       (Handlers.fields_of_analyze (verdict, store))
   | Wire.Bin_analyze _ -> failwith "Client.request: unexpected analyze frame from server"
 
+let read_reply c = reply_of_frame (pull Wire.next c)
+
 let request c json =
   send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)));
   read_reply c
@@ -57,6 +60,8 @@ let request c json =
    many requests over one connection and match replies by id. *)
 let send c json = send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)))
 let recv c = read_reply c
+let recv_raw c = pull Wire.next_raw c
+let send_raw c raw = send_bytes c (Wire.raw_bytes raw)
 
 let connect ?(transport = Wire.V1) (addr : addr) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

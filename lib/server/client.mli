@@ -33,6 +33,21 @@ val recv : conn -> Json.t
     surfaces as the equivalent [ok] analyze reply document.
     @raise Failure as {!request}. *)
 
+val recv_raw : conn -> Wire.raw * Wire.frame
+(** Block for the next frame and return it undecoded next to its
+    decoding ({!Wire.next_raw}), so a forwarder can pass it on byte for
+    byte.  @raise Failure on EOF or a corrupt frame. *)
+
+val send_raw : conn -> Wire.raw -> unit
+(** Write a frame's wire bytes as they are.  The frame must be in the
+    connection's current transport. *)
+
+val reply_of_frame : Wire.frame -> Json.t
+(** The reply document a frame stands for: a [Text] frame parsed, a
+    ['V'] frame as the equivalent [ok] analyze reply — exactly what
+    {!recv} returns.
+    @raise Failure on an unparsable document or an ['A'] frame. *)
+
 val send_analyze :
   conn -> id:int -> ?deadline_ms:int -> mu:int array -> Intmat.t -> unit
 (** The transport-polymorphic analyze send: a compact binary ['A']

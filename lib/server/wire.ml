@@ -55,6 +55,9 @@ let add_u8 b name v =
     invalid_arg (Printf.sprintf "Wire.encode: %s %d does not fit a u8" name v);
   Buffer.add_char b (Char.chr v)
 
+(* The i32 deadline field: [-1] stands for no deadline. *)
+let deadline_field = function Some ms when ms >= 0 -> ms | _ -> -1
+
 let payload_of_frame = function
   | Text s ->
     let b = Buffer.create (String.length s + 1) in
@@ -68,7 +71,7 @@ let payload_of_frame = function
     let b = Buffer.create (16 + (4 * n * (k + 1))) in
     Buffer.add_char b tag_analyze;
     Buffer.add_int64_be b (Int64.of_int id);
-    add_i32 b "deadline_ms" (match deadline_ms with Some ms when ms >= 0 -> ms | _ -> -1);
+    add_i32 b "deadline_ms" (deadline_field deadline_ms);
     add_u8 b "matrix rows" k;
     add_u8 b "matrix cols" n;
     Array.iter (fun m -> add_i32 b "mu entry" m) mu;
@@ -134,7 +137,8 @@ type decoder = {
   mutable poison : string option;
 }
 
-type result = Frame of frame | Need_more | Corrupt of string
+type 'a step = Frame of 'a | Need_more | Corrupt of string
+type result = frame step
 
 let decoder version =
   { buf = Bytes.create 4096; start = 0; len = 0; vers = version; nl_scanned = 0; poison = None }
@@ -186,16 +190,16 @@ exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-(* All reads below are bounds-checked against the payload length
-   first, so [String.get_*] can never raise on wire input. *)
-let parse_payload payload =
-  let plen = String.length payload in
+(* [parse buf off plen] decodes the payload at [off, off + plen) of
+   [buf].  All reads are bounds-checked against [plen] first, so the
+   [Bytes.get_*] calls can never raise on wire input. *)
+let parse buf off plen =
   let need pos n what = if pos + n > plen then malformed "truncated %s" what in
-  let u8 pos = Char.code payload.[pos] in
-  let i32 pos = Int32.to_int (String.get_int32_be payload pos) in
-  let i64 pos = Int64.to_int (String.get_int64_be payload pos) in
-  match payload.[0] with
-  | c when c = tag_json -> Text (String.sub payload 1 (plen - 1))
+  let u8 pos = Char.code (Bytes.get buf (off + pos)) in
+  let i32 pos = Int32.to_int (Bytes.get_int32_be buf (off + pos)) in
+  let i64 pos = Int64.to_int (Bytes.get_int64_be buf (off + pos)) in
+  match Bytes.get buf off with
+  | c when c = tag_json -> Text (Bytes.sub_string buf (off + 1) (plen - 1))
   | c when c = tag_analyze ->
     need 1 14 "analyze header";
     let id = i64 1 in
@@ -222,13 +226,13 @@ let parse_payload payload =
     let id = i64 1 in
     let flags = u8 9 in
     let store =
-      match status_of_char payload.[10] with
+      match status_of_char (Bytes.get buf (off + 10)) with
       | Some s -> s
       | None -> malformed "unknown store status byte 0x%02x" (u8 10)
     in
     let dlen = u8 11 in
     need 12 dlen "decided_by";
-    let decided_by = String.sub payload 12 dlen in
+    let decided_by = Bytes.sub_string buf (off + 12) dlen in
     let pos = 12 + dlen in
     let witness, pos =
       if flags land 8 = 0 then (None, pos)
@@ -256,7 +260,12 @@ let parse_payload payload =
       }
   | c -> malformed "unknown frame tag 0x%02x" (Char.code c)
 
-let next d =
+(* The one framing loop behind {!next} and {!next_raw}: find the next
+   complete frame, hand it to [line] (a v1 line, newline excluded) or
+   [frame] (a v2 frame, length prefix included) as a span of the
+   buffer, then consume it.  [frame] may raise [Malformed], which
+   poisons the decoder. *)
+let take d ~line ~frame =
   match d.poison with
   | Some msg -> Corrupt msg
   | None -> (
@@ -270,10 +279,10 @@ let next d =
       in
       match scan (d.start + d.nl_scanned) with
       | Some nl ->
-        let line = Bytes.sub_string d.buf d.start (nl - d.start) in
+        let r = line d.buf d.start (nl - d.start) in
         consume d (nl - d.start + 1);
         d.nl_scanned <- 0;
-        Frame (Text line)
+        Frame r
       | None ->
         d.nl_scanned <- d.len;
         if d.len > max_frame_bytes then
@@ -291,10 +300,46 @@ let next d =
             (Printf.sprintf "frame of %d bytes exceeds the %d byte cap" flen
                max_frame_bytes)
         else if d.len < 4 + flen then Need_more
-        else begin
-          let payload = Bytes.sub_string d.buf (d.start + 4) flen in
-          consume d (4 + flen);
-          match parse_payload payload with
-          | frame -> Frame frame
-          | exception Malformed msg -> poison d msg
-        end)
+        else
+          match frame d.buf d.start flen with
+          | r ->
+            consume d (4 + flen);
+            Frame r
+          | exception Malformed msg -> poison d msg)
+
+let next d =
+  take d
+    ~line:(fun buf off len -> Text (Bytes.sub_string buf off len))
+    ~frame:(fun buf off flen -> parse buf (off + 4) flen)
+
+(* ------------------------------ raw frames --------------------------- *)
+
+type raw = { wire : Bytes.t; vers : version }
+
+let next_raw d =
+  take d
+    ~line:(fun buf off len ->
+      ({ wire = Bytes.sub buf off (len + 1); vers = V1 }, Text (Bytes.sub_string buf off len)))
+    ~frame:(fun buf off flen ->
+      let wire = Bytes.sub buf off (4 + flen) in
+      ({ wire; vers = V2 }, parse wire 4 flen))
+
+let raw_bytes r = r.wire
+
+(* Field offsets below count the 4-byte length prefix: the id sits at
+   payload offset 1 of both ['A'] and ['V'], the deadline at payload
+   offset 9 of ['A'].  A v1 line has no tag. *)
+let has_tag r tags = r.vers = V2 && List.mem (Bytes.get r.wire 4) tags
+
+let set_id r id =
+  if not (has_tag r [ tag_analyze; tag_verdict ]) then
+    invalid_arg "Wire.set_id: not a binary analyze or verdict frame";
+  Bytes.set_int64_be r.wire 5 (Int64.of_int id)
+
+let set_deadline_ms r deadline_ms =
+  if not (has_tag r [ tag_analyze ]) then
+    invalid_arg "Wire.set_deadline_ms: not a binary analyze frame";
+  let ms = deadline_field deadline_ms in
+  if not (fits_i32 ms) then
+    invalid_arg (Printf.sprintf "Wire.set_deadline_ms: %d does not fit an i32" ms);
+  Bytes.set_int32_be r.wire 13 (Int32.of_int ms)

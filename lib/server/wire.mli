@@ -77,12 +77,14 @@ val encode : version -> frame -> string
 
 type decoder
 
-type result =
-  | Frame of frame
+type 'a step =
+  | Frame of 'a
   | Need_more  (** No complete frame buffered; feed more bytes. *)
   | Corrupt of string
       (** Unrecoverable framing error (oversized frame, unknown tag,
           malformed binary body).  Sticky. *)
+
+type result = frame step
 
 val decoder : version -> decoder
 
@@ -103,3 +105,35 @@ val buffered : decoder -> int
 (** Bytes currently buffered — bounded by {!max_frame_bytes} plus one
     read chunk, because oversized inputs are rejected before their
     bodies are buffered (the adversarial decoder test asserts this). *)
+
+(** {1 Raw frames}
+
+    A forwarder (the cluster router) passes binary frames on without
+    re-encoding them: {!next_raw} hands out a frame's exact wire bytes
+    next to its decoding, and the two fixed-width header fields that a
+    forwarder rewrites — the id of ['A'] and ['V'] frames (payload
+    offset 1, i64) and the deadline of ['A'] frames (payload offset 9,
+    i32) — can be patched in place.  A patched frame is byte-equal to
+    {!encode} of the decoded frame with the new field. *)
+
+type raw
+
+val next_raw : decoder -> (raw * frame) step
+(** Like {!next}, and with the same framing, caps and poisoning, but
+    each frame also comes as a private copy of its wire bytes: the
+    length prefix and payload of a v2 frame, or the line and its
+    newline in v1. *)
+
+val raw_bytes : raw -> bytes
+(** The wire bytes, ready to write.  Callers must not mutate them
+    except through {!set_id} and {!set_deadline_ms}. *)
+
+val set_id : raw -> int -> unit
+(** Rewrite the id of a v2 ['A'] or ['V'] frame.
+    @raise Invalid_argument on any other frame. *)
+
+val set_deadline_ms : raw -> int option -> unit
+(** Rewrite the deadline of a v2 ['A'] frame, encoded as {!encode}
+    does ([None] or a negative value means no deadline).
+    @raise Invalid_argument on any other frame, or a deadline that
+    does not fit an i32. *)

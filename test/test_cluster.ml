@@ -2,13 +2,16 @@
    hash-indexed snapshot format (round trip, truncated footer,
    bit-flipped index, journal-tail precedence, O(1) open), journal
    shipping over the [ship] op, and a live router — differential
-   forwarding over two shards plus an async failover promotion. *)
+   forwarding over two shards in every client x shard dialect, binary
+   frames passed through with their ids (and a hedge's deadline)
+   rewritten, plus an async failover promotion. *)
 
 module Store = Server.Store
 module Protocol = Server.Protocol
 module Daemon = Server.Daemon
 module Client = Server.Client
 module Snapshot = Server.Snapshot
+module Wire = Server.Wire
 module Ring = Cluster.Ring
 module Router = Cluster.Router
 module Shipper = Cluster.Shipper
@@ -337,13 +340,13 @@ let test_shipper_pump () =
 (* ------------------------------- router ----------------------------- *)
 
 let boot_router ?(health_interval_ms = 60_000) ?(health_threshold = 3)
-    ?(hedge = Router.No_hedge) specs =
+    ?(hedge = Router.No_hedge) ?(shard_transport = Wire.V1) specs =
   let sock = fresh_path ".sock" in
   let cfg =
     {
       (Router.default_config (Daemon.Unix_sock sock) specs) with
       pool_size = 1;
-      shard_transport = Server.Wire.V1;
+      shard_transport;
       health_interval_ms;
       health_threshold;
       hedge;
@@ -363,6 +366,59 @@ let direct_verdict (inst : Check.Instance.t) =
        (Protocol.wire_of_verdict
           (Analysis.check ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)))
 
+(* Frame-level peers.  [Client] folds every reply into its JSON
+   document; these checks need to see which frame came back. *)
+
+let write_string fd s =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b and w = ref 0 in
+  while !w < n do
+    w := !w + Unix.write fd b !w (n - !w)
+  done
+
+(* The next frame on [fd], [None] at end of stream. *)
+let read_frame_opt fd dec =
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    match Wire.next dec with
+    | Wire.Frame f -> Some f
+    | Wire.Corrupt msg -> Alcotest.failf "corrupt frame: %s" msg
+    | Wire.Need_more -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> None
+      | n ->
+        Wire.feed dec buf 0 n;
+        go ())
+  in
+  go ()
+
+let read_frame fd dec =
+  match read_frame_opt fd dec with
+  | Some f -> f
+  | None -> Alcotest.fail "connection closed before a reply"
+
+let parse_doc line =
+  match Json.parse line with Ok j -> j | Error e -> Alcotest.failf "unparsable reply: %s" e
+
+(* A raw connection that has negotiated the binary transport. *)
+let v2_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let dec = Wire.decoder Wire.V1 in
+  write_string fd
+    (Wire.encode Wire.V1
+       (Wire.Text (Json.to_string (Protocol.hello ~id:(Json.Int 0) ~transport:"binary" ()))));
+  (match read_frame fd dec with
+  | Wire.Text line when Protocol.reply_ok (parse_doc line) -> ()
+  | _ -> Alcotest.fail "hello refused");
+  Wire.set_version dec Wire.V2;
+  (fd, dec)
+
+let verdict_of_doc doc =
+  match Json.member "verdict" doc with
+  | Some v -> Json.to_string v
+  | None -> Alcotest.fail "reply without verdict"
+
 let test_router_differential () =
   let j0 = fresh_path ".store" and j1 = fresh_path ".store" in
   let s0 = boot_daemon j0 and s1 = boot_daemon j1 in
@@ -373,43 +429,246 @@ let test_router_differential () =
       { Router.primary = `Unix sock1; follower = None; journal = Some j1 };
     ]
   in
-  let r = boot_router specs in
-  let _, _, rsock = r in
-  (* A verifying load through the router: every verdict byte-equal to
-     a local Analysis.check, nothing shed, nothing lost. *)
-  let report =
-    Client.load (`Unix rsock)
-      {
-        Client.default_load with
-        requests = 80;
-        concurrency = 4;
-        distinct = 16;
-        seed = 3;
-        verify = true;
-      }
+  let insts = Array.init 8 (fun i -> Check.Gen.ith ~seed:3 ~size:4 i) in
+  (* The reference: each verdict asked of a shard directly. *)
+  let direct =
+    let c = Client.connect ~transport:Wire.V2 (`Unix sock0) in
+    let vs =
+      Array.map
+        (fun (inst : Check.Instance.t) ->
+          Client.send_analyze c ~id:1 ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat;
+          verdict_of_doc (Client.recv c))
+        insts
+    in
+    Client.close c;
+    vs
   in
-  Alcotest.(check int) "all ok" 80 report.Client.ok;
-  Alcotest.(check int) "no errors" 0 report.Client.errors;
-  Alcotest.(check int) "no shed" 0 report.Client.shed;
-  Alcotest.(check int) "no disagreements" 0 report.Client.disagreements;
-  (* Router-inline ops: stats identifies the role; ship is refused
-     (replication is shard-direct, never through the router). *)
-  let conn = Client.connect (`Unix rsock) in
-  let stats = Client.request conn (Protocol.stats_request ~id:(Json.Int 9) ()) in
-  (match Json.member "role" stats with
-  | Some (Json.Str "router") -> ()
-  | _ -> Alcotest.fail "stats reply without role=router");
-  let ship =
-    Client.request conn (Protocol.ship ~id:(Json.Int 10) ~seq:1 ~record:"x" ())
-  in
-  Alcotest.(check (option string)) "ship refused" (Some "bad_request")
-    (Protocol.error_code ship);
-  Client.close conn;
-  stop_router r;
+  Array.iteri
+    (fun i inst -> Alcotest.(check string) "shard agrees with a local check" (direct_verdict inst) direct.(i))
+    insts;
+  let dialects = [ Wire.V1; Wire.V2 ] in
+  List.iter
+    (fun shard_transport ->
+      let r = boot_router ~shard_transport specs in
+      let _, _, rsock = r in
+      let leg client =
+        Printf.sprintf "client %s, shards %s" (Wire.version_name client)
+          (Wire.version_name shard_transport)
+      in
+      (* A verifying load through the router in each client dialect:
+         every verdict byte-equal to a local Analysis.check, nothing
+         shed, nothing lost. *)
+      List.iter
+        (fun transport ->
+          let report =
+            Client.load (`Unix rsock)
+              {
+                Client.default_load with
+                requests = 80;
+                concurrency = 4;
+                distinct = 16;
+                seed = 3;
+                verify = true;
+                transport;
+              }
+          in
+          let leg = leg transport in
+          Alcotest.(check int) (leg ^ ": all ok") 80 report.Client.ok;
+          Alcotest.(check int) (leg ^ ": no errors") 0 report.Client.errors;
+          Alcotest.(check int) (leg ^ ": no shed") 0 report.Client.shed;
+          Alcotest.(check int) (leg ^ ": no disagreements") 0 report.Client.disagreements)
+        dialects;
+      (* Frame by frame over v2.  The reply follows the request's
+         dialect: an 'A' frame comes back as a 'V' frame carrying the
+         client's id, a JSON analyze as a JSON document.  Over a JSON
+         shard transport there is no 'V' frame to pass on, so the
+         reply is the JSON document, as before. *)
+      let leg = leg Wire.V2 in
+      let fd, dec = v2_connect rsock in
+      Array.iteri
+        (fun i (inst : Check.Instance.t) ->
+          let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
+          let id = 1000 + i in
+          write_string fd
+            (Wire.encode Wire.V2 (Wire.Bin_analyze { id; deadline_ms = None; mu; tmat }));
+          (match (read_frame fd dec, shard_transport) with
+          | Wire.Bin_verdict { id = got; verdict; _ }, Wire.V2 ->
+            Alcotest.(check int) (leg ^ ": 'V' reply carries the client's id") id got;
+            Alcotest.(check string) (leg ^ ": 'V' verdict equals the direct one") direct.(i)
+              (Json.to_string (Protocol.json_of_wire verdict))
+          | Wire.Text line, Wire.V1 ->
+            let doc = parse_doc line in
+            Alcotest.(check bool) (leg ^ ": id echoed") true
+              (Protocol.reply_id doc = Json.Int id);
+            Alcotest.(check string) (leg ^ ": verdict equals the direct one") direct.(i)
+              (verdict_of_doc doc)
+          | _ -> Alcotest.failf "%s: wrong reply frame to an 'A' request" leg);
+          let jid = 2000 + i in
+          write_string fd
+            (Wire.encode Wire.V2
+               (Wire.Text (Json.to_string (Protocol.analyze ~id:(Json.Int jid) ~mu tmat))));
+          match read_frame fd dec with
+          | Wire.Text line ->
+            let doc = parse_doc line in
+            Alcotest.(check bool) (leg ^ ": JSON reply echoes the id") true
+              (Protocol.reply_id doc = Json.Int jid);
+            Alcotest.(check string) (leg ^ ": JSON verdict equals the direct one") direct.(i)
+              (verdict_of_doc doc)
+          | _ -> Alcotest.failf "%s: a JSON analyze over v2 got a binary reply" leg)
+        insts;
+      Unix.close fd;
+      (* Router-inline ops: stats identifies the role; ship is refused
+         (replication is shard-direct, never through the router). *)
+      let conn = Client.connect (`Unix rsock) in
+      let stats = Client.request conn (Protocol.stats_request ~id:(Json.Int 9) ()) in
+      (match Json.member "role" stats with
+      | Some (Json.Str "router") -> ()
+      | _ -> Alcotest.fail "stats reply without role=router");
+      let ship =
+        Client.request conn (Protocol.ship ~id:(Json.Int 10) ~seq:1 ~record:"x" ())
+      in
+      Alcotest.(check (option string)) "ship refused" (Some "bad_request")
+        (Protocol.error_code ship);
+      Client.close conn;
+      stop_router r)
+    dialects;
   stop_daemon s0;
   stop_daemon s1;
   rm j0;
   rm j1
+
+(* A scripted v2 shard: it acks a binary hello, records the id and
+   deadline of every 'A' frame it receives, and answers each with the
+   true verdict — or, when [stall], never. *)
+type fake_shard = {
+  fs_sock : string;
+  fs_stop : bool Atomic.t;
+  fs_seen : (int * int option) list ref;
+  fs_lock : Mutex.t;
+  fs_thread : Thread.t;
+}
+
+let fake_shard ~stall =
+  let sock = fresh_path ".sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 8;
+  let stop = Atomic.make false and seen = ref [] and lock = Mutex.create () in
+  let serve fd =
+    let dec = Wire.decoder Wire.V1 in
+    let rec loop () =
+      match read_frame_opt fd dec with
+      | None -> ()
+      | Some (Wire.Text line) ->
+        (match Protocol.request_of_line line with
+        | Ok { Protocol.id; req = Protocol.Hello _ } ->
+          write_string fd
+            (Wire.encode Wire.V1
+               (Wire.Text
+                  (Json.to_string
+                     (Protocol.ok_reply ~id ~op:"hello" [ ("transport", Json.Str "binary") ]))));
+          Wire.set_version dec Wire.V2
+        | _ -> ());
+        loop ()
+      | Some (Wire.Bin_analyze { id; deadline_ms; mu; tmat }) ->
+        Mutex.lock lock;
+        seen := (id, deadline_ms) :: !seen;
+        Mutex.unlock lock;
+        if not stall then
+          write_string fd
+            (Wire.encode Wire.V2
+               (Wire.Bin_verdict
+                  {
+                    id;
+                    verdict = Protocol.wire_of_verdict (Analysis.check ~mu tmat);
+                    store = "miss";
+                  }));
+        loop ()
+      | Some (Wire.Bin_verdict _) -> loop ()
+    in
+    (try loop () with Unix.Unix_error _ -> ());
+    Unix.close fd
+  in
+  let rec accept_loop conns =
+    if Atomic.get stop then conns
+    else
+      match Unix.select [ lfd ] [] [] 0.05 with
+      | [], _, _ -> accept_loop conns
+      | _ ->
+        let fd, _ = Unix.accept lfd in
+        accept_loop (Thread.create serve fd :: conns)
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        let conns = accept_loop [] in
+        Unix.close lfd;
+        List.iter Thread.join conns)
+      ()
+  in
+  { fs_sock = sock; fs_stop = stop; fs_seen = seen; fs_lock = lock; fs_thread = th }
+
+(* Call once the router is gone, so every connection has hung up. *)
+let stop_fake f =
+  Atomic.set f.fs_stop true;
+  Thread.join f.fs_thread;
+  rm f.fs_sock;
+  Mutex.lock f.fs_lock;
+  let seen = List.rev !(f.fs_seen) in
+  Mutex.unlock f.fs_lock;
+  seen
+
+let test_router_hedge_raw () =
+  (* A stalled primary and a fixed 20 ms hedge delay: the client's 'A'
+     frame reaches the primary with its own deadline and a router id,
+     then the follower, whose copy must carry the *remaining* deadline
+     patched into the same bytes; the follower's 'V' verdict comes back
+     with the client's id. *)
+  let primary = fake_shard ~stall:true and follower = fake_shard ~stall:false in
+  let specs =
+    [
+      {
+        Router.primary = `Unix primary.fs_sock;
+        follower = Some (`Unix follower.fs_sock);
+        journal = None;
+      };
+    ]
+  in
+  let hedge_ms = 20 and deadline = 5000 in
+  let r = boot_router ~shard_transport:Wire.V2 ~hedge:(Router.Fixed_ms hedge_ms) specs in
+  let _, _, rsock = r in
+  let inst = Check.Gen.ith ~seed:19 ~size:4 0 in
+  let fd, dec = v2_connect rsock in
+  write_string fd
+    (Wire.encode Wire.V2
+       (Wire.Bin_analyze
+          {
+            id = 77;
+            deadline_ms = Some deadline;
+            mu = inst.Check.Instance.mu;
+            tmat = inst.Check.Instance.tmat;
+          }));
+  (match read_frame fd dec with
+  | Wire.Bin_verdict { id; verdict; _ } ->
+    Alcotest.(check int) "hedged 'V' reply carries the client's id" 77 id;
+    Alcotest.(check string) "hedged verdict byte-exact" (direct_verdict inst)
+      (Json.to_string (Protocol.json_of_wire verdict))
+  | _ -> Alcotest.fail "hedged reply is not a 'V' frame");
+  Unix.close fd;
+  stop_router r;
+  match (stop_fake primary, stop_fake follower) with
+  | [ (p_id, p_dl) ], [ (f_id, Some f_dl) ] ->
+    Alcotest.(check (option int)) "primary copy keeps the client's deadline" (Some deadline)
+      p_dl;
+    Alcotest.(check bool) "router ids, one per copy" true
+      (p_id <> 77 && f_id <> 77 && p_id <> f_id);
+    Alcotest.(check bool)
+      (Printf.sprintf "hedge carries the remaining deadline (%d ms)" f_dl)
+      true
+      (f_dl > 0 && f_dl <= deadline - hedge_ms)
+  | p, f ->
+    Alcotest.failf "expected one copy per shard with a deadline, got %d and %d"
+      (List.length p) (List.length f)
 
 let test_router_failover () =
   (* One shard with a follower; kill the primary and let the health
@@ -599,4 +858,5 @@ let suite =
     Alcotest.test_case "router failover" `Quick test_router_failover;
     Alcotest.test_case "health breaker" `Quick test_health_breaker;
     Alcotest.test_case "router hedging" `Quick test_router_hedging;
+    Alcotest.test_case "router hedge patches raw frames" `Quick test_router_hedge_raw;
   ]

@@ -663,6 +663,54 @@ let test_wire_roundtrip () =
        false
      with Invalid_argument _ -> true)
 
+(* The forwarder's view of a frame: its wire bytes, with the id and
+   deadline rewritten in place.  A patched frame must be byte-equal to
+   the frame encoded afresh with the new fields. *)
+let test_wire_raw_frames () =
+  let raw_of v s =
+    let dec = Wire.decoder v in
+    feed_all dec s;
+    match Wire.next_raw dec with
+    | Wire.Frame (raw, f) ->
+      Alcotest.(check string) "raw bytes are the wire bytes" s
+        (Bytes.to_string (Wire.raw_bytes raw));
+      Alcotest.(check bool) "decoder drained" true (Wire.next_raw dec = Wire.Need_more);
+      (raw, f)
+    | _ -> Alcotest.fail "expected a frame"
+  in
+  let bytes raw = Bytes.to_string (Wire.raw_bytes raw) in
+  let inst = gen_inst 1 in
+  let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
+  let analyze id deadline_ms = Wire.Bin_analyze { id; deadline_ms; mu; tmat } in
+  let raw, f = raw_of Wire.V2 (Wire.encode Wire.V2 (analyze 42 (Some 250))) in
+  Alcotest.(check string) "decoded alongside" (Wire.encode Wire.V2 (analyze 42 (Some 250)))
+    (Wire.encode Wire.V2 f);
+  Wire.set_id raw 1_000_000_007;
+  Alcotest.(check string) "analyze id patched"
+    (Wire.encode Wire.V2 (analyze 1_000_000_007 (Some 250))) (bytes raw);
+  Wire.set_deadline_ms raw (Some 3);
+  Alcotest.(check string) "analyze deadline patched"
+    (Wire.encode Wire.V2 (analyze 1_000_000_007 (Some 3))) (bytes raw);
+  Wire.set_deadline_ms raw None;
+  Alcotest.(check string) "analyze deadline cleared"
+    (Wire.encode Wire.V2 (analyze 1_000_000_007 None)) (bytes raw);
+  let w = Protocol.wire_of_verdict (Analysis.check ~mu tmat) in
+  let verdict id = Wire.Bin_verdict { id; verdict = w; store = "hit" } in
+  let raw, _ = raw_of Wire.V2 (Wire.encode Wire.V2 (verdict 7)) in
+  Wire.set_id raw (-5);
+  Alcotest.(check string) "verdict id patched" (Wire.encode Wire.V2 (verdict (-5))) (bytes raw);
+  let refused what f =
+    Alcotest.(check bool) what true (try f (); false with Invalid_argument _ -> true)
+  in
+  refused "no deadline in a verdict frame" (fun () -> Wire.set_deadline_ms raw (Some 1));
+  let doc = Json.to_string (Protocol.ping ~id:(Json.Int 3) ()) in
+  List.iter
+    (fun v ->
+      let raw, f = raw_of v (Wire.encode v (Wire.Text doc)) in
+      Alcotest.(check bool) "text decoded alongside" true (f = Wire.Text doc);
+      refused "no id field in a text frame" (fun () -> Wire.set_id raw 1))
+    [ Wire.V1; Wire.V2 ]
+
 let test_wire_decoder_fuzz () =
   (* Seeded adversarial streams: truncations, bit flips, raw garbage,
      random chunk boundaries.  The decoder must never raise, never
@@ -699,10 +747,21 @@ let test_wire_decoder_fuzz () =
     | 2 -> String.init (1 + ri 64) (fun _ -> Char.chr (ri 256))
     | _ -> s
   in
+  (* A twin decoder fed the same chunks through [next_raw] must agree
+     with [next] on every outcome, and each raw frame must decode, on
+     its own, to the frame handed out beside it. *)
+  let agree v f (raw, f') =
+    let alone = Wire.decoder v in
+    feed_all alone (Bytes.to_string (Wire.raw_bytes raw));
+    let again = match Wire.next alone with Wire.Frame g -> g | _ -> Alcotest.fail "raw frame does not decode" in
+    List.iter
+      (fun g -> Alcotest.(check string) "next_raw agrees with next" (Wire.encode v f) (Wire.encode v g))
+      [ f'; again ]
+  in
   List.iter
     (fun v ->
       for _round = 1 to 200 do
-        let dec = Wire.decoder v in
+        let dec = Wire.decoder v and twin = Wire.decoder v in
         let stream = String.concat "" (List.init (1 + ri 4) (fun _ -> mangle (valid v))) in
         let n = String.length stream in
         let pos = ref 0 in
@@ -710,11 +769,17 @@ let test_wire_decoder_fuzz () =
            while !pos < n do
              let len = min (n - !pos) (1 + ri 97) in
              Wire.feed dec (Bytes.of_string (String.sub stream !pos len)) 0 len;
+             Wire.feed twin (Bytes.of_string (String.sub stream !pos len)) 0 len;
              pos := !pos + len;
              let rec drain () =
-               match Wire.next dec with
-               | Wire.Frame _ -> drain ()
-               | Wire.Need_more | Wire.Corrupt _ -> ()
+               match (Wire.next dec, Wire.next_raw twin) with
+               | Wire.Frame f, Wire.Frame raw ->
+                 agree v f raw;
+                 drain ()
+               | Wire.Need_more, Wire.Need_more -> ()
+               | Wire.Corrupt m, Wire.Corrupt m' ->
+                 Alcotest.(check string) "same corruption" m m'
+               | _ -> Alcotest.fail "next_raw and next disagree"
              in
              drain ();
              Alcotest.(check bool) "buffer bounded" true (Wire.buffered dec <= n)
@@ -899,8 +964,15 @@ let test_live_hello_negotiation () =
 
 let test_singleflight_coalescing () =
   (* N identical cold analyzes arriving while the only worker is
-     pinned on a slow search: exactly one analysis dispatch, one store
-     append, and N acks with byte-identical verdicts. *)
+     pinned on a search: exactly one analysis dispatch, one store
+     append, and N acks with byte-identical verdicts.  How long the
+     search takes is no hold to rely on — a descheduled event loop
+     once let it, and the leader behind it, finish before the burst
+     was read, and request 2 came back a store hit.  A latency plan
+     holds the worker instead: every popped batch stalls [hold_ms]
+     ([worker.stall]), so the leader cannot answer within [2 * hold_ms]
+     of the burst, which the loop parses in one read. *)
+  let hold_ms = 150 in
   let round jobs =
     let sock = fresh_path ".sock" in
     let store_path = fresh_path ".store" in
@@ -916,7 +988,7 @@ let test_singleflight_coalescing () =
     let inst = Check.Gen.ith ~seed:33 ~size:4 0 in
     let n = 8 in
     let fd = raw_connect sock in
-    (* One write: the slow job, the identical burst right behind it.
+    (* One write: the held job, the identical burst right behind it.
        The loop thread parks all N in one singleflight group long
        before the worker reaches the leader. *)
     let burst = Buffer.create 1024 in
@@ -989,7 +1061,9 @@ let test_singleflight_coalescing () =
     Store.close s;
     Sys.remove store_path
   in
-  List.iter round [ 1; 4 ]
+  Fault.Plan.arm
+    (Fault.Plan.make ~rate:1.0 ~seed:1 ~delay_ms:hold_ms ~classes:[ "latency" ] ());
+  Fun.protect ~finally:Fault.Plan.disarm (fun () -> List.iter round [ 1; 4 ])
 
 let test_live_transport_matrix () =
   let store_path = fresh_path ".store" in
@@ -1262,6 +1336,7 @@ let suite =
     Alcotest.test_case "chaos determinism" `Quick test_chaos_determinism;
     Alcotest.test_case "stale socket recovery" `Quick test_stale_socket_recovery;
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+    Alcotest.test_case "wire raw frames" `Quick test_wire_raw_frames;
     Alcotest.test_case "wire decoder fuzz" `Quick test_wire_decoder_fuzz;
     Alcotest.test_case "live oversized frames" `Quick test_live_oversized_frames;
     Alcotest.test_case "live hello negotiation" `Quick test_live_hello_negotiation;
