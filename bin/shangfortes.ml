@@ -1522,13 +1522,6 @@ let route_cmd =
       value & opt int 64
       & info [ "vnodes" ] ~docv:"N" ~doc:"Consistent-hash ring points per shard.")
   in
-  let shard_transport_arg =
-    Arg.(
-      value
-      & opt transport_conv Server.Wire.V2
-      & info [ "shard-transport" ] ~docv:"T"
-          ~doc:"Wire dialect towards the shards: $(b,binary) (default) or $(b,json).")
-  in
   let hedge_delay_arg =
     Arg.(
       value & opt int 0
@@ -1555,7 +1548,7 @@ let route_cmd =
              breaker.")
   in
   let run socket port shards pool health_interval_ms health_threshold vnodes
-      shard_transport max_transport hedge_delay_ms hedge_budget latency_limit_ms fmt obs =
+      max_transport hedge_delay_ms hedge_budget latency_limit_ms fmt obs =
     obs_begin obs;
     let listen =
       match port with
@@ -1572,7 +1565,6 @@ let route_cmd =
         Cluster.Router.listen;
         shards = List.map parse_shard_spec shards;
         pool_size = pool;
-        shard_transport;
         max_transport;
         health_interval_ms;
         health_threshold;
@@ -1611,7 +1603,7 @@ let route_cmd =
           on shard death (docs/CLUSTER.md)")
     Term.(
       const run $ socket_arg $ port_arg $ shard_arg $ pool_arg $ health_interval_arg
-      $ health_threshold_arg $ vnodes_arg $ shard_transport_arg $ serve_transport_arg
+      $ health_threshold_arg $ vnodes_arg $ serve_transport_arg
       $ hedge_delay_arg $ hedge_budget_arg $ latency_limit_arg $ format_arg $ obs_term)
 
 (* ------------------------------- client ----------------------------- *)

@@ -200,7 +200,6 @@ let run_pass (cfg : config) ~arm ~hedge ~instances ~expected =
                    }))))
         with
         pool_size = 1;
-        shard_transport = cfg.transport;
         (* Quiet monitor: the driver performs the kill and promotion
            itself, at a deterministic point in the request stream. *)
         health_interval_ms = 60_000;

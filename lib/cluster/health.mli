@@ -20,9 +20,9 @@
       probe while half-open also re-opens.  [latency_limit_ms <= 0]
       disables the breaker entirely.
 
-    Mutation is single-writer (the monitor thread); {!state} /
-    {!ewma_ms} are single-word reads, safe for the router's forwarding
-    threads to poll. *)
+    Not thread-safe: the router reads and writes it only under the
+    shard's lock, which its monitor thread (the one writer) and its
+    event loop share. *)
 
 type breaker = Closed | Open | Half_open
 

@@ -9,24 +9,15 @@ type conn = {
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-(* Wakes a thread blocked in [recv] on this connection (the read
-   returns EOF) without invalidating the descriptor under it — the
-   router shuts a pooled connection down first, joins its reader
-   thread, then [close]s. *)
-let shutdown c = try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let send_bytes c bytes =
-  let n = Bytes.length bytes in
+let send_string c s =
+  let n = String.length s in
   let written = ref 0 in
   while !written < n do
-    written := !written + Unix.write c.fd bytes !written (n - !written)
+    written := !written + Unix.write_substring c.fd s !written (n - !written)
   done
 
-(* [Unix.write] only reads the buffer, so the string is not copied. *)
-let send_string c s = send_bytes c (Bytes.unsafe_of_string s)
-
-let rec pull next c =
-  match next c.dec with
+let rec pull c =
+  match Wire.next c.dec with
   | Wire.Frame f -> f
   | Wire.Corrupt msg -> failwith ("Client.request: corrupt reply stream: " ^ msg)
   | Wire.Need_more -> (
@@ -34,7 +25,7 @@ let rec pull next c =
     | 0 -> failwith "Client.request: connection closed by server"
     | n ->
       Wire.feed c.dec c.chunk 0 n;
-      pull next c)
+      pull c)
 
 (* Every reply surfaces as the JSON document it is equivalent to: a
    binary ['V'] frame reconstructs the exact [ok] analyze reply —
@@ -50,21 +41,15 @@ let reply_of_frame = function
       (Handlers.fields_of_analyze (verdict, store))
   | Wire.Bin_analyze _ -> failwith "Client.request: unexpected analyze frame from server"
 
-let read_reply c = reply_of_frame (pull Wire.next c)
+let read_reply c = reply_of_frame (pull c)
 
 let request c json =
   send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)));
   read_reply c
 
-(* Pipelining halves, for callers (the cluster router) that multiplex
-   many requests over one connection and match replies by id. *)
-let send c json = send_string c (Wire.encode c.version (Wire.Text (Json.to_string json)))
 let recv c = read_reply c
-let recv_raw c = pull Wire.next_raw c
-let send_raw c raw = send_bytes c (Wire.raw_bytes raw)
 
-let connect ?(transport = Wire.V1) (addr : addr) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+let dial (addr : addr) =
   let fd, sockaddr =
     match addr with
     | `Unix path -> (Unix.socket PF_UNIX SOCK_STREAM 0, Unix.ADDR_UNIX path)
@@ -72,11 +57,15 @@ let connect ?(transport = Wire.V1) (addr : addr) =
       ( Unix.socket PF_INET SOCK_STREAM 0,
         Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port) )
   in
-  (match Unix.connect fd sockaddr with
-  | () -> ()
+  match Unix.connect fd sockaddr with
+  | () -> fd
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e);
+    raise e
+
+let connect ?(transport = Wire.V1) (addr : addr) =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let fd = dial addr in
   let c = { fd; dec = Wire.decoder Wire.V1; version = Wire.V1; chunk = Bytes.create 65536 } in
   (match transport with
   | Wire.V1 -> ()

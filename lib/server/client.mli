@@ -23,30 +23,10 @@ val request : conn -> Json.t -> Json.t
 (** Send one request document, block for the reply.
     @raise Failure on EOF, a corrupt frame or an unparsable reply. *)
 
-val send : conn -> Json.t -> unit
-(** Write one request document without reading anything — the
-    pipelining half for callers (the cluster router) that multiplex
-    many requests over one connection and match replies by id. *)
-
 val recv : conn -> Json.t
 (** Block for the next reply, whatever its id.  A binary ['V'] frame
     surfaces as the equivalent [ok] analyze reply document.
     @raise Failure as {!request}. *)
-
-val recv_raw : conn -> Wire.raw * Wire.frame
-(** Block for the next frame and return it undecoded next to its
-    decoding ({!Wire.next_raw}), so a forwarder can pass it on byte for
-    byte.  @raise Failure on EOF or a corrupt frame. *)
-
-val send_raw : conn -> Wire.raw -> unit
-(** Write a frame's wire bytes as they are.  The frame must be in the
-    connection's current transport. *)
-
-val reply_of_frame : Wire.frame -> Json.t
-(** The reply document a frame stands for: a [Text] frame parsed, a
-    ['V'] frame as the equivalent [ok] analyze reply — exactly what
-    {!recv} returns.
-    @raise Failure on an unparsable document or an ['A'] frame. *)
 
 val send_analyze :
   conn -> id:int -> ?deadline_ms:int -> mu:int array -> Intmat.t -> unit
@@ -56,11 +36,10 @@ val send_analyze :
 
 val close : conn -> unit
 
-val shutdown : conn -> unit
-(** Shut both directions down without closing the descriptor: a thread
-    blocked in {!recv} wakes with an EOF failure, after which {!close}
-    is safe — the shutdown-join-close sequence the router's connection
-    pool uses.  Never raises. *)
+val dial : addr -> Unix.file_descr
+(** A connected stream socket to [addr], with no negotiation — for
+    callers that run their own I/O loop (the cluster router's upstream
+    pool).  @raise Unix.Unix_error when the server is not there. *)
 
 (** {1 Retrying session}
 

@@ -1,4 +1,4 @@
-type listen = Unix_sock of string | Tcp of int
+type listen = Loop.listen = Unix_sock of string | Tcp of int
 
 type config = {
   listen : listen;
@@ -29,59 +29,11 @@ let default_config listen =
     admission_target_ms = 250.;
   }
 
-(* -------------------------- output buffers -------------------------- *)
-
-(* A growable byte queue per connection: replies append at the tail,
-   the nonblocking flush consumes from the head.  Reused for the
-   connection's whole life — the warm path never allocates a fresh
-   buffer per reply. *)
-module Outbuf = struct
-  type t = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
-
-  let create n = { buf = Bytes.create n; start = 0; len = 0 }
-  let length b = b.len
-
-  let add b s =
-    let n = String.length s in
-    let cap = Bytes.length b.buf in
-    if b.start + b.len + n > cap then begin
-      if b.start > 0 then Bytes.blit b.buf b.start b.buf 0 b.len;
-      b.start <- 0;
-      if b.len + n > cap then begin
-        let rec grow c = if c >= b.len + n then c else grow (2 * c) in
-        let buf' = Bytes.create (grow (max cap 64)) in
-        Bytes.blit b.buf 0 buf' 0 b.len;
-        b.buf <- buf'
-      end
-    end;
-    Bytes.blit_string s 0 b.buf (b.start + b.len) n;
-    b.len <- b.len + n
-
-  let consume b n =
-    b.start <- b.start + n;
-    b.len <- b.len - n;
-    if b.len = 0 then b.start <- 0
-
-  let clear b =
-    b.start <- 0;
-    b.len <- 0
-end
-
-type conn = {
-  cid : int;
-  fd : Unix.file_descr;
-  dec : Wire.decoder;  (* loop-thread only *)
-  out : Outbuf.t;
-  olock : Mutex.t;
-  (* [version], [dead] and [out] are shared between the loop and the
-     batcher workers; all three are read and written under [olock], so
-     a reply is always encoded in the version current at its position
-     in the output stream (the hello switch happens under the same
-     lock, between the ack bytes and whatever is appended next). *)
-  mutable version : Wire.version;
-  mutable dead : bool;
-  mutable closing : bool;  (* loop-thread only: drop after output drains *)
-}
+(* Connections live in the shared event loop ({!Loop}); the batcher
+   workers reply through the same {!Loop.send}, under each connection's
+   [olock], so a reply is always encoded in the version current at its
+   position in the output stream. *)
+type conn = Loop.conn
 
 (* Waiters carry their own (mu, T): singleflight groups key on the
    family (T alone), so members may ask about different instances of
@@ -113,17 +65,12 @@ type t = {
   draining : bool Atomic.t;
   aborting : bool Atomic.t;
   workers_done : bool Atomic.t;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
+  loop : Loop.t;
   listen_fd : Unix.file_descr;
-  bound_port : int option;
-  conns : (int, conn) Hashtbl.t;
-  conns_lock : Mutex.t;
   sflight : waiter Singleflight.t;
   inflight : (int, Engine.Budget.t) Hashtbl.t;
   inflight_lock : Mutex.t;
   next_id : int Atomic.t;
-  next_cid : int Atomic.t;
   (* Per-server counts (the [Obs.Metrics] counters are process-wide,
      and the tests run several servers in one process). *)
   n_accepted : int Atomic.t;
@@ -154,13 +101,7 @@ let locked lock f =
 
 (* ------------------------------- wakeup ------------------------------ *)
 
-(* The self-pipe carries two byte values: ['d'] asks for a drain (the
-   public, async-signal-safe {!wake}), ['w'] merely interrupts the
-   poll so the loop re-reads shared state — workers send it after
-   queueing output for a descriptor the loop is not yet watching for
-   writability. *)
-let wake t = try ignore (Unix.write t.pipe_w (Bytes.of_string "d") 0 1) with _ -> ()
-let wake_loop t = try ignore (Unix.write t.pipe_w (Bytes.of_string "w") 0 1) with _ -> ()
+let wake t = Loop.wake_drain t.loop
 
 let initiate_drain t =
   if not (Atomic.exchange t.draining true) then begin
@@ -175,46 +116,6 @@ let initiate_drain t =
 
 (* ------------------------------ replies ----------------------------- *)
 
-(* Flush as much pending output as the socket accepts right now; the
-   remainder stays queued and the loop polls for writability.  A dead
-   peer is not an error — the bytes are simply dropped (the read side
-   will observe the hangup and tear the connection down). *)
-let flush_locked conn =
-  let rec go () =
-    if conn.out.Outbuf.len > 0 then
-      match
-        Unix.write conn.fd conn.out.Outbuf.buf conn.out.Outbuf.start
-          conn.out.Outbuf.len
-      with
-      | 0 -> ()
-      | n ->
-        Outbuf.consume conn.out n;
-        go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-        Outbuf.clear conn.out
-  in
-  go ()
-
-(* Append one encoded message to the connection's output stream.  With
-   [defer] the bytes are only queued — the event loop batches one
-   flush per readiness event, so a pipelined burst of replies costs
-   one [write] instead of one per reply.  Workers flush eagerly and
-   wake the loop if the socket would block. *)
-let send t conn ?(defer = false) make =
-  Mutex.lock conn.olock;
-  if conn.dead then Mutex.unlock conn.olock
-  else begin
-    let pending =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock conn.olock)
-        (fun () ->
-          Outbuf.add conn.out (make conn.version);
-          if not defer then flush_locked conn;
-          (not defer) && Outbuf.length conn.out > 0)
-    in
-    if pending then wake_loop t
-  end
 
 (* Every reply write consults the [conn.write] fault site first, as
    before the event-loop rewrite: a fired fault swallows the reply
@@ -222,10 +123,10 @@ let send t conn ?(defer = false) make =
    silence and can retry promptly. *)
 let send_reply t conn ?defer make =
   if Fault.should_fail "conn.write" then
-    locked conn.olock (fun () ->
-        if not conn.dead then
-          try Unix.shutdown conn.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  else send t conn ?defer make
+    locked conn.Loop.olock (fun () ->
+        if not conn.Loop.dead then
+          try Unix.shutdown conn.Loop.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+  else Loop.send t.loop conn ?defer make
 
 let send_doc t conn ?defer json =
   send_reply t conn ?defer (fun version ->
@@ -353,7 +254,7 @@ let abort t =
         unregister t j.rid;
         Limiter.release t.limiter ~latency_ms:0.)
       dropped;
-    wake_loop t
+    Loop.wake t.loop
   end
 
 let handle_batch t batch =
@@ -609,22 +510,19 @@ let handle_envelope t conn ~bin (env : Protocol.envelope) =
         (Protocol.error_reply ~id ~code:"bad_request"
            ~detail:(Printf.sprintf "unknown or disabled transport %S" transport))
     | Some v ->
-      (* Ack in the current dialect, then switch both directions under
-         [olock], so any reply encoded after this point — including
-         one from a concurrently finishing worker — lands after the
-         ack bytes in the new dialect, exactly where the peer switches
-         its own decoder. *)
-      locked conn.olock (fun () ->
-          if not conn.dead then begin
-            Outbuf.add conn.out
-              (Wire.encode conn.version
-                 (Wire.Text
-                    (Json.to_string
-                       (Protocol.ok_reply ~id ~op
-                          [ ("transport", Json.Str (Wire.version_name v)) ]))));
-            conn.version <- v
-          end);
-      Wire.set_version conn.dec v;
+      (* Ack in the current dialect, then switch both directions: the
+         output switch happens under [olock] right after the ack, so
+         any reply encoded after this point — including one from a
+         concurrently finishing worker — lands after the ack bytes in
+         the new dialect, exactly where the peer switches its own
+         decoder.  The ack does not consult [conn.write]: seeded
+         fault logs count on that consult sequence. *)
+      Loop.send t.loop conn ~defer:true ~switch:v (fun version ->
+          Wire.encode version
+            (Wire.Text
+               (Json.to_string
+                  (Protocol.ok_reply ~id ~op [ ("transport", Json.Str (Wire.version_name v)) ]))));
+      Wire.set_version conn.Loop.dec v;
       if v = Wire.V2 then Atomic.incr t.n_binary)
   | Protocol.Search _ | Protocol.Simulate _ | Protocol.Replay _ ->
     let deadline_ms = Protocol.deadline_ms env.Protocol.req in
@@ -696,41 +594,7 @@ let handle_frame t conn frame =
 
 (* ------------------------------ create ------------------------------ *)
 
-(* Bind a Unix socket, coping with a stale socket file left by a
-   SIGKILLed predecessor: a path that IS a socket gets probed with a
-   connect — refused/unreachable means dead owner, so unlink and take
-   over; answered means another daemon is live, so fail loudly.  A
-   path that exists but is NOT a socket is never unlinked (the store
-   journal, say, must not be clobbered by a mistyped --socket). *)
-let bind_unix path =
-  (match Unix.stat path with
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-    let probe = Unix.socket PF_UNIX SOCK_STREAM 0 in
-    match Unix.connect probe (ADDR_UNIX path) with
-    | () ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      failwith
-        (Printf.sprintf "Daemon.create: a server is already listening on %s" path)
-    | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | exception e ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      raise e)
-  | { Unix.st_kind = _; _ } ->
-    failwith
-      (Printf.sprintf "Daemon.create: %s exists and is not a socket; refusing to unlink"
-         path)
-  | exception Unix.Unix_error (ENOENT, _, _) -> ());
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.bind fd (ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
-
 let create cfg =
-  (* A peer hanging up mid-reply must surface as EPIPE on the write,
-     not kill the process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Store before socket: an unusable store path must not leave a
      bound socket (or a just-unlinked stale one) behind. *)
   let store_ =
@@ -739,25 +603,11 @@ let create cfg =
       cfg.store_path
   in
   let listen_fd =
-    match cfg.listen with
-    | Unix_sock path -> (
-      try bind_unix path
-      with e ->
-        Option.iter Store.close store_;
-        raise e)
-    | Tcp port ->
-      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-      Unix.setsockopt fd SO_REUSEADDR true;
-      Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      fd
+    try Loop.bind cfg.listen
+    with e ->
+      Option.iter Store.close store_;
+      raise e
   in
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | ADDR_INET (_, port) -> Some port
-    | ADDR_UNIX _ -> None
-  in
-  let pipe_r, pipe_w = Unix.pipe () in
   let t =
     {
       cfg;
@@ -771,17 +621,12 @@ let create cfg =
       draining = Atomic.make false;
       aborting = Atomic.make false;
       workers_done = Atomic.make false;
-      pipe_r;
-      pipe_w;
+      loop = Loop.create ();
       listen_fd;
-      bound_port;
-      conns = Hashtbl.create 16;
-      conns_lock = Mutex.create ();
       sflight = Singleflight.create ();
       inflight = Hashtbl.create 64;
       inflight_lock = Mutex.create ();
       next_id = Atomic.make 0;
-      next_cid = Atomic.make 1;
       n_accepted = Atomic.make 0;
       n_shed = Atomic.make 0;
       n_batches = Atomic.make 0;
@@ -798,241 +643,111 @@ let create cfg =
          ~compatible ~handle:(handle_batch t));
   t
 
-let port t = t.bound_port
+let port t = Loop.port t.listen_fd
 
 (* -------------------------------- run ------------------------------- *)
 
-let teardown t fdmap conn =
-  locked conn.olock (fun () ->
-      if not conn.dead then begin
-        conn.dead <- true;
-        try Unix.close conn.fd with Unix.Unix_error _ -> ()
-      end);
-  Hashtbl.remove fdmap conn.fd;
-  locked t.conns_lock (fun () -> Hashtbl.remove t.conns conn.cid)
-
-let rec drain_frames t fdmap conn =
-  if not (conn.closing || conn.dead) then
-    match Wire.next conn.dec with
+let rec drain_frames t conn =
+  if not (conn.Loop.closing || conn.Loop.dead) then
+    match Wire.next conn.Loop.dec with
     | Wire.Need_more -> ()
     | Wire.Frame f ->
       handle_frame t conn f;
-      drain_frames t fdmap conn
+      drain_frames t conn
     | Wire.Corrupt msg ->
       (* One structured reply, then drop — same contract for an
          oversized binary frame as for an oversized JSON line (there
          is no way to resynchronize a corrupt stream anyway). *)
       send_doc t conn ~defer:true
         (Protocol.error_reply ~id:Json.Null ~code:"parse_error" ~detail:msg);
-      conn.closing <- true
+      conn.Loop.closing <- true
 
-let service_read t fdmap conn chunk =
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> teardown t fdmap conn
-  | n ->
-    (* Both connection-fault sites are consulted here, after a
-       successful read, so the decisions are ordered with the peer's
-       request stream — the peer sending these bytes proves it has
-       consumed every earlier reply, so tearing down now can never
-       race a reply still in flight.  [conn.read] models a transport
-       reset while reading a request; [conn.drop] a hang-up between
-       requests.  Either way the just-read bytes are discarded and the
-       connection is torn down; the peer re-issues on a fresh
-       connection.  [conn.slow] first: a gray failure stalls the whole
-       event loop for the plan's delay — the slow-shard scenario the
-       hedging and breaker machinery exists for — without failing
-       anything (ambient, never logged per event). *)
-    Fault.stall "conn.slow";
-    if Fault.should_fail "conn.read" then teardown t fdmap conn
-    else if Fault.should_fail "conn.drop" then teardown t fdmap conn
-    else begin
-      Wire.feed conn.dec chunk 0 n;
-      drain_frames t fdmap conn;
-      (* One flush for the whole burst of inline replies. *)
-      let pending =
-        locked conn.olock (fun () ->
-            if conn.dead then false
-            else begin
-              flush_locked conn;
-              Outbuf.length conn.out > 0
-            end)
-      in
-      if conn.closing && not pending then teardown t fdmap conn
-    end
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
-    teardown t fdmap conn
+(* Both connection-fault sites are consulted here, after a successful
+   read, so the decisions are ordered with the peer's request stream —
+   the peer sending these bytes proves it has consumed every earlier
+   reply, so tearing down now can never race a reply still in flight.
+   [conn.read] models a transport reset while reading a request;
+   [conn.drop] a hang-up between requests.  Either way the just-read
+   bytes are discarded and the connection is torn down; the peer
+   re-issues on a fresh connection.  [conn.slow] first: a gray failure
+   stalls the whole event loop for the plan's delay — the slow-shard
+   scenario the hedging and breaker machinery exists for — without
+   failing anything (ambient, never logged per event). *)
+let on_read t conn chunk n =
+  Fault.stall "conn.slow";
+  if Fault.should_fail "conn.read" then Loop.close t.loop conn
+  else if Fault.should_fail "conn.drop" then Loop.close t.loop conn
+  else begin
+    Wire.feed conn.Loop.dec chunk 0 n;
+    drain_frames t conn
+  end
 
-let accept_burst t fdmap =
-  let rec go budget =
-    if budget > 0 then
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        (* An injected [daemon.accept] fault closes the freshly
-           accepted connection before it is ever serviced — the peer
-           sees an immediate EOF and reconnects. *)
-        if Fault.should_fail "daemon.accept" then (
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go (budget - 1))
-        else begin
-          Unix.set_nonblock fd;
-          let conn =
-            {
-              cid = Atomic.fetch_and_add t.next_cid 1;
-              fd;
-              dec = Wire.decoder Wire.V1;
-              out = Outbuf.create 4096;
-              olock = Mutex.create ();
-              version = Wire.V1;
-              dead = false;
-              closing = false;
-            }
-          in
-          Obs.Metrics.incr m_conns;
-          Hashtbl.replace fdmap fd conn;
-          locked t.conns_lock (fun () -> Hashtbl.replace t.conns conn.cid conn);
-          go (budget - 1)
-        end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
-  in
-  go 128
+(* An injected [daemon.accept] fault closes the freshly accepted
+   connection before it is ever serviced — the peer sees an immediate
+   EOF and reconnects. *)
+let on_accept t fd =
+  if Fault.should_fail "daemon.accept" then (try Unix.close fd with Unix.Unix_error _ -> ())
+  else begin
+    Obs.Metrics.incr m_conns;
+    ignore (Loop.add t.loop fd ~on_read:(on_read t) ())
+  end
 
 let run t =
-  let chunk = Bytes.create 65536 in
-  let pipe_buf = Bytes.create 256 in
-  Unix.set_nonblock t.listen_fd;
-  Unix.set_nonblock t.pipe_r;
-  let fdmap : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
-  let drain_seen = ref false in
-  let flush_deadline = ref infinity in
-  let service_pipe () =
-    match Unix.read t.pipe_r pipe_buf 0 (Bytes.length pipe_buf) with
-    | 0 -> ()
-    | n ->
-      let drain = ref false in
-      for i = 0 to n - 1 do
-        if Bytes.get pipe_buf i = 'd' then drain := true
-      done;
-      if !drain then initiate_drain t
-    | exception Unix.Unix_error _ -> ()
+  let loop = t.loop in
+  Loop.listen loop t.listen_fd ~on_accept:(on_accept t);
+  let stop_listening () =
+    Loop.stop_listening loop;
+    match t.cfg.listen with
+    | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
+    | Tcp _ -> ()
   in
-  let conn_pending conn = locked conn.olock (fun () -> Outbuf.length conn.out > 0) in
-  let abort_seen = ref false in
-  let rec loop () =
+  let drain_seen = ref false and abort_seen = ref false in
+  let flush_deadline = ref infinity in
+  let step () =
     if Atomic.get t.aborting && not !abort_seen then begin
       abort_seen := true;
       drain_seen := true;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.cfg.listen with
-      | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-      | Tcp _ -> ());
+      stop_listening ();
       (* Slam every connection: queued replies are dropped unflushed,
          exactly as a killed process would drop them.  Workers still
          finishing a batch send into dead connections, which is a
          no-op. *)
-      Hashtbl.fold (fun _ c acc -> c :: acc) fdmap []
-      |> List.iter (fun c ->
-             locked c.olock (fun () -> Outbuf.clear c.out);
-             teardown t fdmap c);
+      Loop.close_all loop;
       Atomic.set t.workers_done true;
       flush_deadline := neg_infinity
     end;
-    let draining = Atomic.get t.draining in
-    if draining && not !drain_seen then begin
+    if Atomic.get t.draining && not !drain_seen then begin
       drain_seen := true;
       (* Stop accepting at once; a joiner thread turns the batcher
          join into a loop wake-up so replies queued by the last
-         workers still flush through the poll loop below. *)
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.cfg.listen with
-      | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-      | Tcp _ -> ());
+         workers still flush through the loop. *)
+      stop_listening ();
       ignore
         (Thread.create
            (fun () ->
              Option.iter Batcher.join t.batcher;
              Atomic.set t.workers_done true;
-             wake_loop t)
+             Loop.wake loop)
            ())
     end;
-    (* Tear down connections that finished flushing after a corrupt
-       stream; collect the ones still alive. *)
-    let conns = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
-    List.iter
-      (fun c -> if c.closing && not (conn_pending c) then teardown t fdmap c)
-      conns;
-    let live = Hashtbl.fold (fun _ c acc -> c :: acc) fdmap [] in
     let workers_done = Atomic.get t.workers_done in
-    if workers_done && !flush_deadline = infinity then
+    if workers_done && !flush_deadline = infinity then begin
       (* Bounded drain flush: a peer that never reads its replies must
          not wedge the shutdown. *)
-      flush_deadline := Unix.gettimeofday () +. 5.0;
-    let all_flushed = List.for_all (fun c -> not (conn_pending c)) live in
-    if !drain_seen && workers_done
-       && (all_flushed || Unix.gettimeofday () > !flush_deadline)
-    then ()
-    else begin
-      let interests =
-        (if !drain_seen then []
-         else [ (t.listen_fd, { Poll.want_read = true; want_write = false }) ])
-        @ [ (t.pipe_r, { Poll.want_read = true; want_write = false }) ]
-        @ List.filter_map
-            (fun c ->
-              let want_write = conn_pending c in
-              let want_read = not c.closing in
-              if want_read || want_write then
-                Some (c.fd, { Poll.want_read; want_write })
-              else None)
-            live
-      in
-      let timeout_ms = if !drain_seen then 50 else -1 in
-      let events = Poll.wait interests ~timeout_ms in
-      List.iter
-        (fun (fd, (ev : Poll.event)) ->
-          if fd = t.pipe_r then (if ev.Poll.ready_read then service_pipe ())
-          else if (not !drain_seen) && fd = t.listen_fd then begin
-            if ev.Poll.ready_read then accept_burst t fdmap
-          end
-          else
-            match Hashtbl.find_opt fdmap fd with
-            | None -> ()
-            | Some conn ->
-              if ev.Poll.ready_write then begin
-                let pending =
-                  locked conn.olock (fun () ->
-                      if conn.dead then false
-                      else begin
-                        flush_locked conn;
-                        Outbuf.length conn.out > 0
-                      end)
-                in
-                if conn.closing && not pending then teardown t fdmap conn
-              end;
-              if (not conn.dead) && (ev.Poll.ready_read || ev.Poll.ready_error) then
-                if conn.closing then (if ev.Poll.ready_error then teardown t fdmap conn)
-                else service_read t fdmap conn chunk)
-        events;
-      loop ()
-    end
+      flush_deadline := Obs.Clock.now_s () +. 5.0;
+      Loop.set_timer loop ~at:!flush_deadline ignore
+    end;
+    not
+      (!drain_seen && workers_done
+      && ((not (Loop.pending_output loop)) || Obs.Clock.now_s () > !flush_deadline))
   in
-  loop ();
+  Loop.run loop ~on_drain:(fun () -> initiate_drain t) ~step;
   initiate_drain t;
   (* The drain path above already closed the listener and unlinked the
      socket; [initiate_drain] here only covers a [run] that never saw
      traffic.  Workers are done: every accepted request got its reply
      bytes queued, and the loop flushed them (or timed out on a peer
      that stopped reading). *)
-  let conns = locked t.conns_lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []) in
-  List.iter
-    (fun c ->
-      locked c.olock (fun () ->
-          if not c.dead then begin
-            c.dead <- true;
-            (try Unix.shutdown c.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-            try Unix.close c.fd with Unix.Unix_error _ -> ()
-          end))
-    conns;
+  Loop.close_all loop;
   Option.iter Store.close t.store_;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+  Loop.dispose loop

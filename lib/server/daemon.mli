@@ -2,8 +2,9 @@
     control and graceful drain, wired around {!Wire}, {!Singleflight},
     {!Admission}, {!Batcher}, {!Handlers} and {!Store}.
 
-    I/O architecture: one event-loop thread owns every socket.  It
-    polls ({!Poll}) the listener, a self-pipe and all connections;
+    I/O architecture: one event-loop thread ({!Loop}, shared with the
+    cluster router) owns every socket.  It polls the listener, a
+    self-pipe and all connections;
     accepts until the listener would block; reads nonblocking chunks
     into each connection's {!Wire.decoder}; and answers inline
     everything that needs no pool dispatch — [ping], [stats], [drain],
@@ -74,7 +75,7 @@
     root, so per-request trace trees are accurate for fastpath work
     too (per-thread span stacks in {!Obs.Trace}). *)
 
-type listen =
+type listen = Loop.listen =
   | Unix_sock of string  (** Path of a Unix-domain socket. *)
   | Tcp of int           (** TCP port on 127.0.0.1; [0] picks a free port. *)
 

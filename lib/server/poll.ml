@@ -1,31 +1,10 @@
 type interest = { want_read : bool; want_write : bool }
 type event = { ready_read : bool; ready_write : bool; ready_error : bool }
-type backend = Native_poll | Select
 
 external sf_poll_fds : Unix.file_descr array -> int array -> int -> int array
   = "sf_poll_fds"
 
-let chosen = ref None
-
-let choose () =
-  match Sys.getenv_opt "SHANGFORTES_POLL" with
-  | Some "select" -> Select
-  | _ -> (
-    (* Probe the stub once with an empty set; any failure (unlikely
-       outside exotic platforms) demotes to the select fallback. *)
-    match sf_poll_fds [||] [||] 0 with
-    | _ -> Native_poll
-    | exception _ -> Select)
-
-let backend () =
-  match !chosen with
-  | Some b -> b
-  | None ->
-    let b = choose () in
-    chosen := Some b;
-    b
-
-let wait_poll fds ~timeout_ms =
+let wait fds ~timeout_ms =
   let arr = Array.of_list fds in
   let n = Array.length arr in
   let raw_fds = Array.map fst arr in
@@ -49,25 +28,3 @@ let wait_poll fds ~timeout_ms =
         :: !events
   done;
   !events
-
-let wait_select fds ~timeout_ms =
-  let rds = List.filter_map (fun (fd, i) -> if i.want_read then Some fd else None) fds in
-  let wrs = List.filter_map (fun (fd, i) -> if i.want_write then Some fd else None) fds in
-  let all = List.map fst fds in
-  let timeout = if timeout_ms < 0 then -1.0 else float_of_int timeout_ms /. 1000. in
-  match Unix.select rds wrs all timeout with
-  | exception Unix.Unix_error (EINTR, _, _) -> []
-  | r, w, e ->
-    List.filter_map
-      (fun (fd, _) ->
-        let ready_read = List.memq fd r || List.memq fd e in
-        let ready_write = List.memq fd w in
-        if ready_read || ready_write then
-          Some (fd, { ready_read; ready_write; ready_error = false })
-        else None)
-      fds
-
-let wait fds ~timeout_ms =
-  match backend () with
-  | Native_poll -> wait_poll fds ~timeout_ms
-  | Select -> wait_select fds ~timeout_ms

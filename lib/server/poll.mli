@@ -1,26 +1,14 @@
-(** Readiness notification for the daemon's event loop: [poll(2)]
-    through a small C stub, with a pure-OCaml {!Unix.select} fallback.
-
-    The backend is chosen once at startup: [SHANGFORTES_POLL=select]
-    in the environment forces the fallback (the test suite runs the
-    event loop under both); otherwise the stub is probed once and
-    [select] is used only if the probe fails.  Both backends present
-    the same interface and the same semantics — a connection readable
-    at EOF and a peer reset both surface as readable, so the caller
-    discovers the condition from the subsequent [read]. *)
+(** Readiness notification for the event loop ({!Loop}) that the
+    daemon and the cluster router share: [poll(2)] through a small C
+    stub, compiled on every build.  A connection readable at EOF and a
+    peer reset both surface as readable, so the caller discovers the
+    condition from the subsequent [read]. *)
 
 type interest = { want_read : bool; want_write : bool }
 
 type event = { ready_read : bool; ready_write : bool; ready_error : bool }
-(** [ready_error] covers POLLERR / POLLHUP-without-data / POLLNVAL;
-    the select fallback folds these into [ready_read] (the
-    descriptor is readable at EOF), which callers must treat
-    identically. *)
-
-type backend = Native_poll | Select
-
-val backend : unit -> backend
-(** The backend in use (decided on first {!wait}). *)
+(** [ready_error] covers POLLERR / POLLNVAL; a hangup with or without
+    data surfaces as [ready_read]. *)
 
 val wait :
   (Unix.file_descr * interest) list -> timeout_ms:int -> (Unix.file_descr * event) list

@@ -1,4 +1,4 @@
-/* poll(2) binding for the daemon's readiness loop.  The OCaml runtime
+/* poll(2) binding for the shared readiness loop (Loop).  The OCaml runtime
  * lock is released around the syscall so worker threads keep running
  * while the loop sleeps.  File descriptors arrive as a Unix.file_descr
  * array (immediate ints on Unix); interest and readiness are encoded

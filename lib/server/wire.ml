@@ -55,8 +55,9 @@ let add_u8 b name v =
     invalid_arg (Printf.sprintf "Wire.encode: %s %d does not fit a u8" name v);
   Buffer.add_char b (Char.chr v)
 
-(* The i32 deadline field: [-1] stands for no deadline. *)
-let deadline_field = function Some ms when ms >= 0 -> ms | _ -> -1
+(* The i32 deadline field: [-1] stands for no deadline, so a spent
+   budget ([Some n], n <= 0) is written as 0 — still spent on decode. *)
+let deadline_field = function Some ms -> max 0 ms | None -> -1
 
 let payload_of_frame = function
   | Text s ->

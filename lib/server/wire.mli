@@ -14,7 +14,8 @@
     - ['J'] — a JSON document (any request or reply), UTF-8 bytes.
       This keeps every v1 operation expressible on a v2 connection.
     - ['A'] — a binary [analyze] request: [id] (i64 BE),
-      [deadline_ms] (i32 BE, [-1] = none), [k] (u8), [n] (u8),
+      [deadline_ms] (i32 BE, [-1] = none, [0] = already spent; a
+      negative budget is encoded as 0), [k] (u8), [n] (u8),
       [mu] (n × i32 BE), then the k×n mapping matrix row-major
       (k·n × i32 BE).  The frame length must match exactly.
     - ['V'] — a binary [analyze] verdict reply: [id] (i64 BE), a flag
@@ -134,6 +135,7 @@ val set_id : raw -> int -> unit
 
 val set_deadline_ms : raw -> int option -> unit
 (** Rewrite the deadline of a v2 ['A'] frame, encoded as {!encode}
-    does ([None] or a negative value means no deadline).
+    does: [None] means no deadline, and [Some n] with [n <= 0] is
+    written as 0, a spent budget.
     @raise Invalid_argument on any other frame, or a deadline that
     does not fit an i32. *)

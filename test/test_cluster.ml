@@ -340,13 +340,12 @@ let test_shipper_pump () =
 (* ------------------------------- router ----------------------------- *)
 
 let boot_router ?(health_interval_ms = 60_000) ?(health_threshold = 3)
-    ?(hedge = Router.No_hedge) ?(shard_transport = Wire.V1) specs =
+    ?(hedge = Router.No_hedge) specs =
   let sock = fresh_path ".sock" in
   let cfg =
     {
       (Router.default_config (Daemon.Unix_sock sock) specs) with
       pool_size = 1;
-      shard_transport;
       health_interval_ms;
       health_threshold;
       hedge;
@@ -446,96 +445,128 @@ let test_router_differential () =
   Array.iteri
     (fun i inst -> Alcotest.(check string) "shard agrees with a local check" (direct_verdict inst) direct.(i))
     insts;
-  let dialects = [ Wire.V1; Wire.V2 ] in
+  let r = boot_router specs in
+  let _, _, rsock = r in
+  (* A verifying load through the router in each client dialect:
+     every verdict byte-equal to a local Analysis.check, nothing shed,
+     nothing lost. *)
   List.iter
-    (fun shard_transport ->
-      let r = boot_router ~shard_transport specs in
-      let _, _, rsock = r in
-      let leg client =
-        Printf.sprintf "client %s, shards %s" (Wire.version_name client)
-          (Wire.version_name shard_transport)
+    (fun transport ->
+      let report =
+        Client.load (`Unix rsock)
+          {
+            Client.default_load with
+            requests = 80;
+            concurrency = 4;
+            distinct = 16;
+            seed = 3;
+            verify = true;
+            transport;
+          }
       in
-      (* A verifying load through the router in each client dialect:
-         every verdict byte-equal to a local Analysis.check, nothing
-         shed, nothing lost. *)
-      List.iter
-        (fun transport ->
-          let report =
-            Client.load (`Unix rsock)
-              {
-                Client.default_load with
-                requests = 80;
-                concurrency = 4;
-                distinct = 16;
-                seed = 3;
-                verify = true;
-                transport;
-              }
-          in
-          let leg = leg transport in
-          Alcotest.(check int) (leg ^ ": all ok") 80 report.Client.ok;
-          Alcotest.(check int) (leg ^ ": no errors") 0 report.Client.errors;
-          Alcotest.(check int) (leg ^ ": no shed") 0 report.Client.shed;
-          Alcotest.(check int) (leg ^ ": no disagreements") 0 report.Client.disagreements)
-        dialects;
-      (* Frame by frame over v2.  The reply follows the request's
-         dialect: an 'A' frame comes back as a 'V' frame carrying the
-         client's id, a JSON analyze as a JSON document.  Over a JSON
-         shard transport there is no 'V' frame to pass on, so the
-         reply is the JSON document, as before. *)
-      let leg = leg Wire.V2 in
-      let fd, dec = v2_connect rsock in
-      Array.iteri
-        (fun i (inst : Check.Instance.t) ->
-          let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
-          let id = 1000 + i in
-          write_string fd
-            (Wire.encode Wire.V2 (Wire.Bin_analyze { id; deadline_ms = None; mu; tmat }));
-          (match (read_frame fd dec, shard_transport) with
-          | Wire.Bin_verdict { id = got; verdict; _ }, Wire.V2 ->
-            Alcotest.(check int) (leg ^ ": 'V' reply carries the client's id") id got;
-            Alcotest.(check string) (leg ^ ": 'V' verdict equals the direct one") direct.(i)
-              (Json.to_string (Protocol.json_of_wire verdict))
-          | Wire.Text line, Wire.V1 ->
-            let doc = parse_doc line in
-            Alcotest.(check bool) (leg ^ ": id echoed") true
-              (Protocol.reply_id doc = Json.Int id);
-            Alcotest.(check string) (leg ^ ": verdict equals the direct one") direct.(i)
-              (verdict_of_doc doc)
-          | _ -> Alcotest.failf "%s: wrong reply frame to an 'A' request" leg);
-          let jid = 2000 + i in
-          write_string fd
-            (Wire.encode Wire.V2
-               (Wire.Text (Json.to_string (Protocol.analyze ~id:(Json.Int jid) ~mu tmat))));
-          match read_frame fd dec with
-          | Wire.Text line ->
-            let doc = parse_doc line in
-            Alcotest.(check bool) (leg ^ ": JSON reply echoes the id") true
-              (Protocol.reply_id doc = Json.Int jid);
-            Alcotest.(check string) (leg ^ ": JSON verdict equals the direct one") direct.(i)
-              (verdict_of_doc doc)
-          | _ -> Alcotest.failf "%s: a JSON analyze over v2 got a binary reply" leg)
-        insts;
-      Unix.close fd;
-      (* Router-inline ops: stats identifies the role; ship is refused
-         (replication is shard-direct, never through the router). *)
-      let conn = Client.connect (`Unix rsock) in
-      let stats = Client.request conn (Protocol.stats_request ~id:(Json.Int 9) ()) in
-      (match Json.member "role" stats with
-      | Some (Json.Str "router") -> ()
-      | _ -> Alcotest.fail "stats reply without role=router");
-      let ship =
-        Client.request conn (Protocol.ship ~id:(Json.Int 10) ~seq:1 ~record:"x" ())
-      in
-      Alcotest.(check (option string)) "ship refused" (Some "bad_request")
-        (Protocol.error_code ship);
-      Client.close conn;
-      stop_router r)
-    dialects;
+      let leg = "client " ^ Wire.version_name transport in
+      Alcotest.(check int) (leg ^ ": all ok") 80 report.Client.ok;
+      Alcotest.(check int) (leg ^ ": no errors") 0 report.Client.errors;
+      Alcotest.(check int) (leg ^ ": no shed") 0 report.Client.shed;
+      Alcotest.(check int) (leg ^ ": no disagreements") 0 report.Client.disagreements)
+    [ Wire.V1; Wire.V2 ];
+  (* Frame by frame over v2.  The reply follows the request's dialect:
+     an 'A' frame comes back as a 'V' frame carrying the client's id, a
+     JSON analyze as a JSON document. *)
+  let fd, dec = v2_connect rsock in
+  Array.iteri
+    (fun i (inst : Check.Instance.t) ->
+      let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
+      let id = 1000 + i in
+      write_string fd
+        (Wire.encode Wire.V2 (Wire.Bin_analyze { id; deadline_ms = None; mu; tmat }));
+      (match read_frame fd dec with
+      | Wire.Bin_verdict { id = got; verdict; _ } ->
+        Alcotest.(check int) "'V' reply carries the client's id" id got;
+        Alcotest.(check string) "'V' verdict equals the direct one" direct.(i)
+          (Json.to_string (Protocol.json_of_wire verdict))
+      | _ -> Alcotest.fail "wrong reply frame to an 'A' request");
+      let jid = 2000 + i in
+      write_string fd
+        (Wire.encode Wire.V2
+           (Wire.Text (Json.to_string (Protocol.analyze ~id:(Json.Int jid) ~mu tmat))));
+      match read_frame fd dec with
+      | Wire.Text line ->
+        let doc = parse_doc line in
+        Alcotest.(check bool) "JSON reply echoes the id" true
+          (Protocol.reply_id doc = Json.Int jid);
+        Alcotest.(check string) "JSON verdict equals the direct one" direct.(i)
+          (verdict_of_doc doc)
+      | _ -> Alcotest.fail "a JSON analyze over v2 got a binary reply")
+    insts;
+  Unix.close fd;
+  (* Router-inline ops: stats identifies the role; ship is refused
+     (replication is shard-direct, never through the router). *)
+  let conn = Client.connect (`Unix rsock) in
+  let stats = Client.request conn (Protocol.stats_request ~id:(Json.Int 9) ()) in
+  (match Json.member "role" stats with
+  | Some (Json.Str "router") -> ()
+  | _ -> Alcotest.fail "stats reply without role=router");
+  let ship =
+    Client.request conn (Protocol.ship ~id:(Json.Int 10) ~seq:1 ~record:"x" ())
+  in
+  Alcotest.(check (option string)) "ship refused" (Some "bad_request")
+    (Protocol.error_code ship);
+  Client.close conn;
+  stop_router r;
   stop_daemon s0;
   stop_daemon s1;
   rm j0;
   rm j1
+
+let test_router_head_of_line () =
+  (* Client A pipelines analyzes through a one-shard router and never
+     reads a reply, so its socket buffer fills and its replies back up
+     in the router.  Client B shares the router's pooled shard
+     connection; its one analyze must still be answered at once. *)
+  let j = fresh_path ".store" in
+  let shard = boot_daemon j in
+  let _, _, sock = shard in
+  let r = boot_router [ { Router.primary = `Unix sock; follower = None; journal = None } ] in
+  let _, _, rsock = r in
+  let inst = Check.Gen.ith ~seed:5 ~size:4 0 in
+  let analyze id =
+    Json.to_string
+      (Protocol.analyze ~id:(Json.Int id) ~mu:inst.Check.Instance.mu inst.Check.Instance.tmat)
+    ^ "\n"
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX rsock);
+    fd
+  in
+  let a = connect () in
+  (* About 1 MB of replies: far more than a socket buffer holds. *)
+  let burst = Buffer.create (5000 * 100) in
+  for i = 1 to 5000 do
+    Buffer.add_string burst (analyze i)
+  done;
+  let writer = Thread.create (fun () -> write_string a (Buffer.contents burst)) () in
+  Thread.join writer;
+  Thread.delay 0.2;
+  let b = connect () in
+  Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.0;
+  write_string b (analyze 0);
+  let reply =
+    match read_frame_opt b (Wire.decoder Wire.V1) with
+    | Some (Wire.Text line) -> parse_doc line
+    | Some _ | None -> Alcotest.fail "client B: connection closed without a reply"
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "client B: no reply within 2 s behind a client that never reads"
+  in
+  Alcotest.(check bool) "client B answered" true (Protocol.reply_ok reply);
+  Alcotest.(check bool) "client B's own id" true (Protocol.reply_id reply = Json.Int 0);
+  Alcotest.(check string) "client B's verdict" (direct_verdict inst) (verdict_of_doc reply);
+  Unix.close a;
+  Unix.close b;
+  stop_router r;
+  stop_daemon shard;
+  rm j
 
 (* A scripted v2 shard: it acks a binary hello, records the id and
    deadline of every 'A' frame it receives, and answers each with the
@@ -635,7 +666,7 @@ let test_router_hedge_raw () =
     ]
   in
   let hedge_ms = 20 and deadline = 5000 in
-  let r = boot_router ~shard_transport:Wire.V2 ~hedge:(Router.Fixed_ms hedge_ms) specs in
+  let r = boot_router ~hedge:(Router.Fixed_ms hedge_ms) specs in
   let _, _, rsock = r in
   let inst = Check.Gen.ith ~seed:19 ~size:4 0 in
   let fd, dec = v2_connect rsock in
@@ -859,4 +890,5 @@ let suite =
     Alcotest.test_case "health breaker" `Quick test_health_breaker;
     Alcotest.test_case "router hedging" `Quick test_router_hedging;
     Alcotest.test_case "router hedge patches raw frames" `Quick test_router_hedge_raw;
+    Alcotest.test_case "router head-of-line" `Quick test_router_head_of_line;
   ]

@@ -1142,13 +1142,11 @@ let test_poll_readiness () =
     (List.exists (fun (fd, e) -> fd = w && e.Poll.ready_write) evs);
   ignore (Unix.read r (Bytes.create 8) 0 8);
   Unix.close w;
-  (* EOF surfaces as readability (the read then returns 0), whichever
-     backend is in use. *)
+  (* EOF surfaces as readability (the read then returns 0). *)
   let evs = Poll.wait [ (r, want_read) ] ~timeout_ms:1000 in
   Alcotest.(check bool) "eof is readable" true
     (List.exists (fun (fd, e) -> fd = r && (e.Poll.ready_read || e.Poll.ready_error)) evs);
-  Unix.close r;
-  ignore (Poll.backend ())
+  Unix.close r
 
 
 (* ------------------------- gray-failure tier ------------------------ *)
@@ -1192,6 +1190,26 @@ let test_deadline_exceeded_no_dispatch () =
   Alcotest.(check bool) "live budget answers" true (Protocol.reply_ok reply);
   Alcotest.(check bool) "dispatch counted" true (Obs.Metrics.value queries > before);
   Client.close conn;
+  shutdown server
+
+let test_spent_deadline_both_dialects () =
+  (* A budget already spent in flight ([deadline_ms = -5]) is refused in
+     either dialect: the binary 'A' frame must carry it as spent, not as
+     "no deadline". *)
+  let server = boot () in
+  let _, _, sock = server in
+  let inst = Check.Gen.ith ~seed:78 ~size:4 0 in
+  let mu = inst.Check.Instance.mu and tmat = inst.Check.Instance.tmat in
+  List.iter
+    (fun transport ->
+      let conn = Client.connect ~transport (`Unix sock) in
+      Client.send_analyze conn ~id:1 ~deadline_ms:(-5) ~mu tmat;
+      Alcotest.(check (option string))
+        (Wire.version_name transport ^ ": deadline_exceeded")
+        (Some "deadline_exceeded")
+        (Protocol.error_code (Client.recv conn));
+      Client.close conn)
+    [ Wire.V1; Wire.V2 ];
   shutdown server
 
 let drive_limiter lim ~threads ~per_thread ~latency_ms =
@@ -1346,6 +1364,8 @@ let suite =
     Alcotest.test_case "poll readiness" `Quick test_poll_readiness;
     Alcotest.test_case "deadline exceeded no dispatch" `Quick
       test_deadline_exceeded_no_dispatch;
+    Alcotest.test_case "spent deadline in both dialects" `Quick
+      test_spent_deadline_both_dialects;
     Alcotest.test_case "limiter aimd property" `Quick test_limiter_aimd;
     Alcotest.test_case "retry token bucket" `Quick test_retry_token_bucket;
     Alcotest.test_case "gray chaos determinism" `Quick test_gray_chaos_determinism;
